@@ -12,14 +12,11 @@ import (
 	"math/big"
 	"testing"
 
-	"tailspace/internal/compile"
 	"tailspace/internal/core"
 	"tailspace/internal/corpus"
 	"tailspace/internal/env"
-	"tailspace/internal/expand"
 	"tailspace/internal/experiments"
 	"tailspace/internal/obs"
-	"tailspace/internal/prim"
 	"tailspace/internal/space"
 	"tailspace/internal/value"
 )
@@ -398,8 +395,7 @@ func BenchmarkCollect(b *testing.B) {
 
 // BenchmarkExtendLookup exercises the environment hot path of applyProcedure:
 // extend a lexically nested chain one rib at a time, then resolve every
-// binding. "interned" is the machine's path (pre-interned symbols, integer
-// compares); "strings" goes through the spelling-resolution front door.
+// binding by its pre-interned symbol (integer compares).
 func BenchmarkExtendLookup(b *testing.B) {
 	names := []string{"f", "x", "k", "acc", "loop", "v", "i", "n"}
 	syms := env.InternAll(names)
@@ -423,79 +419,4 @@ func BenchmarkExtendLookup(b *testing.B) {
 			}
 		}
 	})
-	b.Run("strings", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e := env.Empty()
-			for depth := 0; depth < 8; depth++ {
-				a, c := depth%len(names), (depth+1)%len(names)
-				e = e.Extend(
-					[]string{names[a], names[c]},
-					[]env.Location{locs[a], locs[c]},
-				)
-			}
-			for _, n := range names {
-				e.Lookup(n)
-			}
-		}
-	})
-}
-
-// BenchmarkCompiledVsStepper compares the two execution backends on the
-// same work. "plain" is raw interpretation of the doubly recursive fib —
-// the dispatch/lookup win shows up undiluted. "measured" is a
-// hierarchy-style run (per-transition metering and collection under the
-// fixnum model), where both backends share the GC and meter layers, so the
-// gap narrows to the fraction of a transition the stepper spends on AST
-// dispatch and LookupSym chains. The differential suites pin the two
-// backends to identical observables, so steps/run must match exactly.
-func BenchmarkCompiledVsStepper(b *testing.B) {
-	const fib = "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2))))) (fib 14)"
-	const loop = "(define (f n) (if (zero? n) 0 (f (- n 1))))"
-	backends := []core.Backend{core.BackendStepper, core.BackendCompiled}
-	for _, backend := range backends {
-		backend := backend
-		b.Run("plain/"+backend.String(), func(b *testing.B) {
-			steps := 0
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunProgram(fib, core.Options{Variant: core.Tail, Backend: backend})
-				if err != nil || res.Err != nil {
-					b.Fatalf("%v %v", err, res.Err)
-				}
-				steps = res.Steps
-			}
-			b.ReportMetric(float64(steps), "steps/run")
-		})
-		b.Run("measured/"+backend.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunApplication(loop, "(quote 2000)", core.Options{
-					Variant: core.Tail, Measure: true, FlatOnly: true,
-					GCEvery: 1, CostModel: space.Fixnum, Backend: backend,
-				})
-				if err != nil || res.Err != nil {
-					b.Fatalf("%v %v", err, res.Err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCompileOnly prices the compiler itself — parse/expand excluded,
-// one compile of the fib program per iteration — so the per-run compilation
-// the compiled backend performs can be weighed against the execution it
-// saves (it is paid once per run, not per transition).
-func BenchmarkCompileOnly(b *testing.B) {
-	const fib = "(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2))))) (fib 14)"
-	e, err := expand.ParseProgram(fib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rho0, _ := prim.Global()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compile.Program(e, compile.Config{}, rho0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -47,7 +47,6 @@ func main() {
 	machines := fs.String("machines", "", "measure: comma-separated machine names (default: the full eight-machine family)")
 	costModels := fs.String("cost-model", "", "measure: comma-separated space cost models (word,fixnum,log); classify: one model")
 	flatOnly := fs.Bool("flat-only", false, "measure: skip the linked (U_X) measurement")
-	backend := fs.String("backend", "", "eval/measure: execution backend (stepper|compiled); empty means the server default")
 	steps := fs.Int("steps", 0, "step bound (0 means the server default)")
 	jsonOut := fs.Bool("json", false, "print raw response JSON")
 	requestID := fs.String("request-id", "", "X-Request-Id to send: the request's trace ID, for spacectl trace")
@@ -74,9 +73,9 @@ func main() {
 	var exit int
 	switch cmd {
 	case "eval":
-		exit = cmdEval(client, base, args, *input, *machine, *backend, *steps, *jsonOut)
+		exit = cmdEval(client, base, args, *input, *machine, *steps, *jsonOut)
 	case "measure":
-		exit = cmdMeasure(client, base, args, *input, *machines, *costModels, *backend, *flatOnly, *steps, *jsonOut)
+		exit = cmdMeasure(client, base, args, *input, *machines, *costModels, *flatOnly, *steps, *jsonOut)
 	case "lint":
 		exit = cmdLint(client, base, args, *jsonOut)
 	case "classify":
@@ -166,7 +165,7 @@ func fail(err error) int {
 	return 1
 }
 
-func cmdEval(client *http.Client, base string, args []string, input, machine, backend string, steps int, jsonOut bool) int {
+func cmdEval(client *http.Client, base string, args []string, input, machine string, steps int, jsonOut bool) int {
 	if len(args) != 1 {
 		usage()
 		return 2
@@ -176,7 +175,7 @@ func cmdEval(client *http.Client, base string, args []string, input, machine, ba
 		return fail(err)
 	}
 	var resp service.EvalResponse
-	req := service.EvalRequest{Program: src, Input: input, Machine: machine, MaxSteps: steps, Backend: backend}
+	req := service.EvalRequest{Program: src, Input: input, Machine: machine, MaxSteps: steps}
 	if err := post(client, base+"/v1/eval", req, &resp, jsonOut); err != nil {
 		return fail(err)
 	}
@@ -197,7 +196,7 @@ func cmdEval(client *http.Client, base string, args []string, input, machine, ba
 	}
 }
 
-func cmdMeasure(client *http.Client, base string, args []string, input, machines, costModels, backend string, flatOnly bool, steps int, jsonOut bool) int {
+func cmdMeasure(client *http.Client, base string, args []string, input, machines, costModels string, flatOnly bool, steps int, jsonOut bool) int {
 	if len(args) != 1 {
 		usage()
 		return 2
@@ -209,7 +208,6 @@ func cmdMeasure(client *http.Client, base string, args []string, input, machines
 	req := service.MeasureRequest{
 		Program: src, Input: input, FlatOnly: flatOnly, MaxSteps: steps,
 		Machines: splitList(machines), CostModels: splitList(costModels),
-		Backend: backend,
 	}
 	var resp service.MeasureResponse
 	if err := post(client, base+"/v1/measure", req, &resp, jsonOut); err != nil {
@@ -349,9 +347,9 @@ func splitList(s string) []string {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: spacectl [-addr URL] [-json] <command> [args]
 commands:
-  eval <program>     [-input D] [-machine M] [-backend B] [-steps N]
+  eval <program>     [-input D] [-machine M] [-steps N]
                                                           run on one machine
-  measure <program>  [-input D] [-machines a,b] [-cost-model word,log] [-backend B] [-flat-only] [-steps N]
+  measure <program>  [-input D] [-machines a,b] [-cost-model word,log] [-flat-only] [-steps N]
                                                           S/U peaks across the grid
   lint <program>                                          static space-leak verdicts
   classify <program> [-cost-model M]                      per-machine space-class certificates

@@ -50,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"tailspace/internal/core"
 	"tailspace/internal/obs"
 	"tailspace/internal/service"
 	"tailspace/internal/version"
@@ -92,7 +91,6 @@ func main() {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown drain timeout for in-flight requests")
 	maxSteps := fs.Int("max-steps", 5_000_000, "cap on the per-request step bound")
-	backendName := fs.String("backend", "", "default execution backend for requests that do not name one (stepper|compiled)")
 	accessLog := fs.String("access-log", "stderr", `request log destination: "stderr", "off", or a file path (appended)`)
 	debugAddr := fs.String("debug-addr", "", "optional second listener (host:port) exposing /debug/pprof")
 	showVersion := fs.Bool("version", false, "print version and exit")
@@ -105,12 +103,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: spaced [flags]; run spaced -h for the list")
 		os.Exit(2)
 	}
-	backend, err := core.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spaced:", err)
-		os.Exit(1)
-	}
-
 	events, logClose, err := openAccessLog(*accessLog)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spaced:", err)
@@ -125,7 +117,6 @@ func main() {
 		RequestTimeout: *timeout,
 		MaxSteps:       *maxSteps,
 		Events:         events,
-		Backend:        backend,
 	})
 
 	// Process-level gauges (goroutines, heap, GC pauses) land in the same

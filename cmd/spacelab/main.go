@@ -56,7 +56,6 @@ import (
 	"sync"
 	"syscall"
 
-	"tailspace/internal/core"
 	"tailspace/internal/corpus"
 	"tailspace/internal/experiments"
 	"tailspace/internal/obs"
@@ -69,7 +68,6 @@ func main() {
 	fs.Usage = usage
 	jobs := fs.Int("jobs", 0, "max measurement runs in flight (<1 means GOMAXPROCS)")
 	costModel := fs.String("cost-model", "", "price experiments under this cost model (word|fixnum|log) instead of their defaults")
-	backendName := fs.String("backend", "", "execution backend for every run (stepper|compiled); results are identical, compiled is faster")
 	jsonOut := fs.Bool("json", false, "emit tables as JSON instead of rendered text")
 	explain := fs.String("explain-peak", "", "attribute the flat-space peak of a program (file or corpus name)")
 	prof := fs.String("profile", "", "profile one run of a program (file or corpus name) with the event stream attached")
@@ -102,12 +100,6 @@ func main() {
 		}
 		experiments.SetCostModel(m)
 	}
-	backend, berr := core.ParseBackend(*backendName)
-	if berr != nil {
-		fmt.Fprintln(os.Stderr, "spacelab:", berr)
-		os.Exit(1)
-	}
-	experiments.SetBackend(backend)
 
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -127,9 +119,9 @@ func main() {
 			exit(2)
 		}
 		if *explain != "" {
-			exit(explainPeak(*explain, *machine, *steps, backend, ctx.Done()))
+			exit(explainPeak(*explain, *machine, *steps, ctx.Done()))
 		}
-		exit(runProfile(*prof, *machine, *traceOut, *chromeOut, *ringCap, *steps, backend, ctx.Done()))
+		exit(runProfile(*prof, *machine, *traceOut, *chromeOut, *ringCap, *steps, ctx.Done()))
 	}
 	if fs.NArg() != 1 {
 		usage()
@@ -362,7 +354,6 @@ experiments: fig2|hierarchy|thm25|contracts|costmodels|thm26|findleftmost|gcfact
 flags:
   -jobs N          bound the number of measurement runs in flight (default GOMAXPROCS)
   -cost-model M    price experiments under cost model M (word|fixnum|log) instead of their defaults
-  -backend B       execution backend for every run (stepper|compiled); identical results, compiled is faster
   -json            emit tables as JSON for trend tracking
   -explain-peak P  attribute the flat-space peak of P under every machine (or -machine M)
   -profile P       run P once with the event stream attached and print its metrics

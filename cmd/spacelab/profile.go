@@ -42,7 +42,7 @@ func selectVariants(machine string) ([]core.Variant, error) {
 // machine and renders the report: which source expression, under which rule,
 // realized the flat-space peak. Returns the process exit code (non-zero when
 // any run ends stuck or out of steps).
-func explainPeak(arg, machine string, maxSteps int, backend core.Backend, cancel <-chan struct{}) int {
+func explainPeak(arg, machine string, maxSteps int, cancel <-chan struct{}) int {
 	name, src, err := loadProgram(arg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spacelab:", err)
@@ -58,7 +58,7 @@ func explainPeak(arg, machine string, maxSteps int, backend core.Backend, cancel
 		res, err := core.RunProgram(src, core.Options{
 			Variant: v, Measure: true, FlatOnly: true, GCEvery: 1,
 			MaxSteps: maxSteps, CostModel: space.Fixnum, AttributePeak: true,
-			Backend: backend, Cancel: cancel,
+			Cancel: cancel,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spacelab: %s [%s]: %v\n", name, v, err)
@@ -83,7 +83,7 @@ func explainPeak(arg, machine string, maxSteps int, backend core.Backend, cancel
 // runProfile runs one program under one machine with the event stream
 // attached, prints the run's metrics, and optionally exports the retained
 // events as JSONL and/or a Chrome trace. Returns the process exit code.
-func runProfile(arg, machine, traceFile, chromeFile string, ringCap, maxSteps int, backend core.Backend, cancel <-chan struct{}) int {
+func runProfile(arg, machine, traceFile, chromeFile string, ringCap, maxSteps int, cancel <-chan struct{}) int {
 	name, src, err := loadProgram(arg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spacelab:", err)
@@ -101,7 +101,7 @@ func runProfile(arg, machine, traceFile, chromeFile string, ringCap, maxSteps in
 	res, err := core.RunProgram(src, core.Options{
 		Variant: v, Measure: true, GCEvery: 1, MaxSteps: maxSteps,
 		CostModel: space.Fixnum, Events: ring, AttributePeak: true,
-		Backend: backend, Cancel: cancel,
+		Cancel: cancel,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spacelab: %s [%s]: %v\n", name, v, err)

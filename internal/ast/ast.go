@@ -70,8 +70,9 @@ func (UnspecifiedConst) isConst() {}
 type Var struct {
 	Name string
 	// Sym is the interned identifier, filled by the expander (or by
-	// InternSyms); zero means "not interned yet" and evaluators fall back to
-	// interning the spelling on first use.
+	// InternSyms for syntax built in code); zero means "not interned yet".
+	// Evaluators resolve identifiers by Sym alone, so a tree must be
+	// interned before it runs.
 	Sym env.Symbol
 }
 

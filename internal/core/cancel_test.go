@@ -22,10 +22,9 @@ func TestCancelMidRun(t *testing.T) {
 	done := make(chan Result, 1)
 	go func() {
 		res, err := RunProgram(infiniteLoop, Options{
-			Variant:     Tail,
-			Cancel:      cancel,
-			CancelEvery: 64,
-			MaxSteps:    1 << 30, // far beyond what the test allows to run
+			Variant:  Tail,
+			Cancel:   cancel,
+			MaxSteps: 1 << 30, // far beyond what the test allows to run
 		})
 		if err != nil {
 			t.Errorf("parse: %v", err)

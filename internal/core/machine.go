@@ -98,13 +98,7 @@ func (m *Machine) stepExpr(s State) (State, bool, error) {
 		m.lastRule = RuleVar
 		// An identifier evaluates to its R-value; if I ∉ Dom ρ,
 		// ρ(I) ∉ Dom σ, or σ(ρ(I)) = UNDEFINED, the computation sticks.
-		var loc env.Location
-		var ok bool
-		if e.Sym != 0 {
-			loc, ok = s.Env.LookupSym(e.Sym)
-		} else {
-			loc, ok = s.Env.Lookup(e.Name)
-		}
+		loc, ok := s.Env.LookupSym(e.Sym)
 		if !ok {
 			return s, false, m.stuck("unbound variable %s", e.Name)
 		}
@@ -138,15 +132,11 @@ func (m *Machine) stepExpr(s State) (State, bool, error) {
 
 	case *ast.Set:
 		m.lastRule = RuleSet
-		sym := e.Sym
-		if sym == 0 {
-			sym = env.Intern(e.Name)
-		}
 		contEnv := s.Env
 		if m.variant.RestrictConts {
-			contEnv = s.Env.RestrictToSym(sym)
+			contEnv = s.Env.RestrictToSym(e.Sym)
 		}
-		k := &value.Assign{Name: e.Name, Sym: sym, Env: contEnv, K: s.K}
+		k := &value.Assign{Name: e.Name, Sym: e.Sym, Env: contEnv, K: s.K}
 		return EvalState(e.Rhs, s.Env, k), false, nil
 
 	case *ast.Call:
@@ -218,13 +208,7 @@ func (m *Machine) stepValue(s State) (State, bool, error) {
 
 	case *value.Assign:
 		m.lastRule = RuleAssign
-		var loc env.Location
-		var ok bool
-		if k.Sym != 0 {
-			loc, ok = k.Env.LookupSym(k.Sym)
-		} else {
-			loc, ok = k.Env.Lookup(k.Name)
-		}
+		loc, ok := k.Env.LookupSym(k.Sym)
 		if !ok {
 			return s, false, m.stuck("assignment to unbound variable %s", k.Name)
 		}
@@ -344,12 +328,7 @@ func (m *Machine) applyProcedure(s State, op value.Value, args []value.Value, k 
 				lamName(lam), len(lam.Params), len(args))
 		}
 		locs := m.store.AllocN(args)
-		var bodyEnv env.Env
-		if lam.ParamSyms != nil {
-			bodyEnv = proc.Env.ExtendSyms(lam.ParamSyms, locs)
-		} else {
-			bodyEnv = proc.Env.Extend(lam.Params, locs)
-		}
+		bodyEnv := proc.Env.ExtendSyms(lam.ParamSyms, locs)
 		var cont value.Cont
 		switch m.variant.Call {
 		case CallTail:

@@ -36,14 +36,14 @@ func CompressReturnChains(k value.Cont) value.Cont {
 		}
 	case *value.Assign:
 		if inner := CompressReturnChains(x.K); inner != x.K {
-			return &value.Assign{Name: x.Name, Sym: x.Sym, Env: x.Env, K: inner, Plan: x.Plan}
+			return &value.Assign{Name: x.Name, Sym: x.Sym, Env: x.Env, K: inner}
 		}
 	case *value.Push:
 		if inner := CompressReturnChains(x.K); inner != x.K {
 			return &value.Push{
 				Rest: x.Rest, RestIdx: x.RestIdx,
 				Done: x.Done, DoneIdx: x.DoneIdx, CurIdx: x.CurIdx,
-				Env: x.Env, K: inner, Plan: x.Plan,
+				Env: x.Env, K: inner,
 			}
 		}
 	case *value.Call:

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCompressCollapsesReturnRuns(t *testing.T) {
-	rho := env.Empty().Extend([]string{"x"}, []env.Location{1})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{1})
 	var k value.Cont = value.Halt{}
 	inner := &value.Return{Env: rho, K: k}
 	mid := &value.Return{Env: rho, K: inner}

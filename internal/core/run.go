@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"tailspace/internal/ast"
-	"tailspace/internal/compile"
 	"tailspace/internal/env"
 	"tailspace/internal/expand"
 	"tailspace/internal/obs"
@@ -89,23 +88,13 @@ type Options struct {
 	// for plain sweeps.
 	AttributePeak bool
 	// Cancel, when non-nil, aborts the run when the channel is closed (or
-	// receives): the step loop polls it every CancelEvery transitions with a
-	// non-blocking select, so the hot path stays allocation-free, and
+	// receives): the step loop polls it every DefaultCancelEvery transitions
+	// with a non-blocking select, so the hot path stays allocation-free, and
 	// returns a Result with Err == ErrCancelled whose Steps, peaks, and
 	// Metrics consistently describe the prefix of the computation that ran.
 	// Pass a context's Done() channel to integrate with context
 	// cancellation and deadlines.
 	Cancel <-chan struct{}
-	// CancelEvery is the polling period of Cancel in transitions; 0 — the
-	// zero value — selects DefaultCancelEvery. Smaller values cancel more
-	// promptly at the cost of one channel poll per period.
-	CancelEvery int
-	// Backend selects the execution engine: BackendStepper (the zero value)
-	// interprets the AST directly; BackendCompiled pre-resolves variables to
-	// rib coordinates and dispatches on dense opcodes, emitting identical
-	// observables. Runs with Order == RandomOrder always use the stepper
-	// (per-call permutations cannot be pre-resolved).
-	Backend Backend
 }
 
 // TracePoint is one sample of a run's space profile.
@@ -176,7 +165,7 @@ var ErrMaxSteps = errors.New("core: maximum step count exceeded")
 // transitions), it just did not get to finish.
 var ErrCancelled = errors.New("core: run cancelled")
 
-// DefaultCancelEvery is the default Options.Cancel polling period, in
+// DefaultCancelEvery is the Options.Cancel polling period, in
 // transitions. At the corpus's measured rates (hundreds of thousands to
 // millions of transitions per second) 1024 bounds the cancellation latency
 // well under a millisecond while keeping the poll invisible in profiles.
@@ -261,8 +250,8 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 		return Result{ProgramSize: e.Size(), Err: ErrMeasureNeedsGC}
 	}
 	// Expander output is already interned; this covers syntax built
-	// programmatically (the CPS converter, tests) so the machine stays on the
-	// integer-compare lookup path.
+	// programmatically (the CPS converter, tests), since the machine resolves
+	// identifiers by Symbol alone.
 	ast.InternSyms(e)
 	var rho0 env.Env
 	var st *value.Store
@@ -277,25 +266,6 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 	r.machine = NewMachine(r.opts.Variant, st)
 	r.machine.SetOrder(r.opts.Order)
 	r.machine.SetStackStrict(r.opts.StackStrict)
-	// Engine selection. Compilation happens per run, after the globals are
-	// installed, so ρ0 bindings bake to concrete locations; it is a few
-	// microseconds against the runs it accelerates. A program the compiler
-	// does not understand (expression forms outside package ast) falls back
-	// to the stepper, as does random argument order.
-	var engine stepEngine = r.machine
-	runExpr := e
-	if r.opts.Backend == BackendCompiled && r.opts.Order != RandomOrder {
-		cfg := compile.Config{
-			FreeClosures:  r.opts.Variant.FreeClosures,
-			RestrictConts: r.opts.Variant.RestrictConts,
-			EvlisLastEnv:  r.opts.Variant.EvlisLastEnv,
-			RightToLeft:   r.opts.Order == RightToLeft,
-		}
-		if prog, cerr := compile.Program(e, cfg, rho0); cerr == nil {
-			engine = &compiledMachine{m: r.machine}
-			runExpr = prog.Root
-		}
-	}
 	if r.opts.Measure {
 		r.meter.Attach(st)
 	}
@@ -324,7 +294,7 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 	defer func() { res.Metrics = r.buildMetrics(&res, st) }()
 
 	res = Result{ProgramSize: e.Size(), Store: st}
-	s := EvalState(runExpr, rho0, value.Halt{})
+	s := EvalState(e, rho0, value.Halt{})
 
 	gcEvery := r.opts.GCEvery
 	switch {
@@ -338,10 +308,6 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 	}
 
 	cancel := r.opts.Cancel
-	cancelEvery := r.opts.CancelEvery
-	if cancelEvery <= 0 {
-		cancelEvery = DefaultCancelEvery
-	}
 
 	r.observe(&res, s, st, RuleNone)
 	for {
@@ -349,7 +315,7 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 			res.Err = ErrMaxSteps
 			return res
 		}
-		if cancel != nil && res.Steps%cancelEvery == 0 {
+		if cancel != nil && res.Steps%DefaultCancelEvery == 0 {
 			select {
 			case <-cancel:
 				res.Err = ErrCancelled
@@ -358,13 +324,13 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 			}
 		}
 		if s.Expr != nil {
-			r.lastExpr = sourceExpr(s.Expr)
+			r.lastExpr = s.Expr
 		}
 		if r.tap != nil {
 			r.tap.step = res.Steps + 1
 			r.tap.expr = r.lastExpr
 		}
-		next, done, err := engine.Step(s)
+		next, done, err := r.machine.Step(s)
 		if err != nil {
 			res.Err = err
 			return res
@@ -376,7 +342,7 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 		}
 		s = next
 		res.Steps++
-		r.ruleCounts[engine.LastRule()]++
+		r.ruleCounts[r.machine.LastRule()]++
 		if gcEvery > 0 && res.Steps%gcEvery == 0 {
 			if r.opts.Variant.CompressFrames {
 				s.K = CompressReturnChains(s.K)
@@ -393,7 +359,7 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 				res.Collected += collected
 			}
 		}
-		r.observe(&res, s, st, engine.LastRule())
+		r.observe(&res, s, st, r.machine.LastRule())
 	}
 }
 
@@ -498,8 +464,6 @@ func (r *Runner) attributePeak(step, flat int, s State, st *value.Store, rule Ru
 	expr := s.Expr
 	if expr == nil {
 		expr = r.lastExpr
-	} else {
-		expr = sourceExpr(expr)
 	}
 	var exprStr string
 	var nodeID int

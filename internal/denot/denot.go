@@ -56,7 +56,9 @@ type escape struct {
 	k Cont
 }
 
-// Eval runs the valuation E[[e]]ρκ.
+// Eval runs the valuation E[[e]]ρκ. Identifiers resolve by their interned
+// symbols, so e must be expander output or have been through
+// ast.InternSyms.
 func (in *Interp) Eval(e ast.Expr, rho env.Env, k Cont) (value.Value, error) {
 	in.depth++
 	defer func() { in.depth-- }()
@@ -68,7 +70,7 @@ func (in *Interp) Eval(e ast.Expr, rho env.Env, k Cont) (value.Value, error) {
 		return k(constValue(x.Value))
 
 	case *ast.Var:
-		loc, ok := rho.Lookup(x.Name)
+		loc, ok := rho.LookupSym(x.Sym)
 		if !ok {
 			return nil, fmt.Errorf("denot: unbound variable %s", x.Name)
 		}
@@ -95,7 +97,7 @@ func (in *Interp) Eval(e ast.Expr, rho env.Env, k Cont) (value.Value, error) {
 
 	case *ast.Set:
 		return in.Eval(x.Rhs, rho, func(v value.Value) (value.Value, error) {
-			loc, ok := rho.Lookup(x.Name)
+			loc, ok := rho.LookupSym(x.Sym)
 			if !ok {
 				return nil, fmt.Errorf("denot: assignment to unbound variable %s", x.Name)
 			}
@@ -139,7 +141,7 @@ func (in *Interp) Apply(op value.Value, args []value.Value, k Cont) (value.Value
 				proc.Lam.Label, len(proc.Lam.Params), len(args))
 		}
 		locs := in.store.AllocN(args)
-		return in.Eval(proc.Lam.Body, proc.Env.Extend(proc.Lam.Params, locs), k)
+		return in.Eval(proc.Lam.Body, proc.Env.ExtendSyms(proc.Lam.ParamSyms, locs), k)
 
 	case value.Foreign:
 		esc, ok := proc.Data.(escape)

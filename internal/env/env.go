@@ -7,26 +7,22 @@
 // Figure 8 instead unions graph(ρ) across the whole configuration; EachSym
 // iteration supports that.
 //
-// The representation is a chain of slice-backed ribs keyed by interned
-// Symbols: Extend pushes one rib (O(new bindings), sharing the parent chain
-// with the original), Lookup scans ribs newest-first comparing integers, and
-// |Dom ρ| is cached per rib so Size stays O(1). The chain depth follows
-// lexical nesting — a closure extends its *defining* environment — so rib
-// scans stay short even in deep recursions. Iteration must skip shadowed
-// entries (a rib never erases its parents), which keeps Locations and the
-// Figure 8 binding graph identical to the semantics' finite-map reading.
+// Identifiers are interned Symbols (see Intern); the expander interns every
+// identifier it emits, so no operation here takes a spelling. The
+// representation is a chain of slice-backed ribs: ExtendSyms pushes one rib
+// (O(new bindings), sharing the parent chain with the original), LookupSym
+// scans ribs newest-first comparing integers, and |Dom ρ| is cached per rib
+// so Size stays O(1). The chain depth follows lexical nesting — a closure
+// extends its *defining* environment — so rib scans stay short even in deep
+// recursions. Iteration must skip shadowed entries (a rib never erases its
+// parents), which keeps Locations and the Figure 8 binding union identical
+// to the semantics' finite-map reading.
 package env
 
 import "sort"
 
 // Location is a store address α.
 type Location int
-
-// Binding is one element of graph(ρ): an (identifier, location) pair.
-type Binding struct {
-	Name string
-	Loc  Location
-}
 
 // rib is one extension frame: parallel symbol/location slices plus the
 // cached domain size of the whole chain. Ribs are immutable once built.
@@ -54,29 +50,6 @@ type Env struct {
 // Empty returns the empty environment { }.
 func Empty() Env { return Env{} }
 
-// FromBindings builds an environment from bindings; later entries shadow
-// earlier ones.
-func FromBindings(bs ...Binding) Env {
-	syms := make([]Symbol, len(bs))
-	locs := make([]Location, len(bs))
-	for i, b := range bs {
-		syms[i] = Intern(b.Name)
-		locs[i] = b.Loc
-	}
-	return Env{}.ExtendSyms(syms, locs)
-}
-
-// Lookup returns ρ(I) and reports whether I ∈ Dom ρ. The spelling is
-// resolved against the intern table without growing it; prefer LookupSym
-// with a pre-interned Symbol on hot paths.
-func (e Env) Lookup(name string) (Location, bool) {
-	s, ok := symbolOf(name)
-	if !ok {
-		return 0, false
-	}
-	return e.LookupSym(s)
-}
-
 // LookupSym returns ρ(I) for an interned identifier. Within a rib, later
 // entries shadow earlier ones; newer ribs shadow older ones.
 func (e Env) LookupSym(s Symbol) (Location, bool) {
@@ -90,20 +63,12 @@ func (e Env) LookupSym(s Symbol) (Location, bool) {
 	return 0, false
 }
 
-// Extend returns ρ[I1...In ↦ β1...βn]. It panics if the slices disagree in
-// length; callers check arity first.
-func (e Env) Extend(names []string, locs []Location) Env {
-	if len(names) != len(locs) {
-		panic("env: Extend with mismatched names and locations")
-	}
-	return e.ExtendSyms(InternAll(names), locs)
-}
-
-// ExtendSyms is Extend for pre-interned identifiers. The rib takes ownership
-// of both slices; callers must not mutate them afterwards.
+// ExtendSyms returns ρ[I1...In ↦ β1...βn]. It panics if the slices disagree
+// in length; callers check arity first. The rib takes ownership of both
+// slices; callers must not mutate them afterwards.
 func (e Env) ExtendSyms(syms []Symbol, locs []Location) Env {
 	if len(syms) != len(locs) {
-		panic("env: Extend with mismatched names and locations")
+		panic("env: ExtendSyms with mismatched identifiers and locations")
 	}
 	if len(syms) == 0 {
 		return e
@@ -126,20 +91,6 @@ fresh:
 		}
 	}
 	return Env{r: &rib{syms: syms, locs: locs, up: e.r, size: size, entries: entries}}
-}
-
-// Restrict returns ρ | keep, the environment restricted to the identifiers
-// in keep. Any map whose keys are identifiers works as the set.
-func (e Env) Restrict(keep map[string]struct{}) Env {
-	var syms []Symbol
-	var locs []Location
-	e.EachSym(func(s Symbol, l Location) {
-		if _, ok := keep[SymbolName(s)]; ok {
-			syms = append(syms, s)
-			locs = append(locs, l)
-		}
-	})
-	return flatEnv(syms, locs)
 }
 
 // RestrictSyms returns ρ restricted to the given identifiers (duplicates
@@ -173,64 +124,12 @@ func (e Env) RestrictToSym(s Symbol) Env {
 	return flatEnv([]Symbol{s}, []Location{l})
 }
 
-// RestrictTo returns ρ | {names...}.
-func (e Env) RestrictTo(names ...string) Env {
-	return e.RestrictSyms(InternAll(names))
-}
-
 // flatEnv wraps already-deduplicated parallel slices as a single-rib Env.
 func flatEnv(syms []Symbol, locs []Location) Env {
 	if len(syms) == 0 {
 		return Env{}
 	}
 	return Env{r: &rib{syms: syms, locs: locs, size: len(syms), entries: len(syms)}}
-}
-
-// Flat wraps parallel slices as a single flat-rib environment, exactly the
-// shape RestrictSyms builds, for callers — the compiled backend's capture
-// plans — that established at compile time that the identifiers are already
-// distinct. The rib takes ownership of both slices; they must not be mutated
-// afterwards (sharing one immutable syms slice across many environments is
-// fine and is the point).
-func Flat(syms []Symbol, locs []Location) Env {
-	if len(syms) != len(locs) {
-		panic("env: Flat with mismatched identifiers and locations")
-	}
-	return flatEnv(syms, locs)
-}
-
-// ExtendSized is ExtendSyms for callers that already know how many of the
-// identifiers are genuinely new: fresh must equal the number of syms that are
-// neither bound below e nor repeated later in the rib — the quantity
-// ExtendSyms derives with a lookup per identifier. The compiled backend
-// computes it once per lambda at compile time; passing a wrong count corrupts
-// the |Dom ρ| account that Figure 7 charges.
-func (e Env) ExtendSized(syms []Symbol, locs []Location, fresh int) Env {
-	if len(syms) != len(locs) {
-		panic("env: Extend with mismatched names and locations")
-	}
-	if len(syms) == 0 {
-		return e
-	}
-	size, entries := fresh, len(syms)
-	if e.r != nil {
-		size, entries = e.r.size+fresh, e.r.entries+len(syms)
-	}
-	return Env{r: &rib{syms: syms, locs: locs, up: e.r, size: size, entries: entries}}
-}
-
-// LocAt returns the location at rib coordinates (depth, index): entry index
-// of the depth-th rib from the top of the chain. It is the run-time half of
-// the compiled backend's lexical addressing — the compiler guarantees the
-// coordinates against the environment's statically known shape, so no
-// identifier comparison happens here. Out-of-shape coordinates panic (a
-// compiler bug, not a program error).
-func (e Env) LocAt(depth, index int) Location {
-	r := e.r
-	for ; depth > 0; depth-- {
-		r = r.up
-	}
-	return r.locs[index]
 }
 
 // Size is |Dom ρ|, the flat-environment space charge, read from the cached
@@ -318,11 +217,6 @@ func (e Env) EachSymShared(set *RibSet, f func(s Symbol, loc Location)) {
 	e.EachSym(f)
 }
 
-// Each calls f on every binding in ρ (iteration order unspecified).
-func (e Env) Each(f func(name string, loc Location)) {
-	e.EachSym(func(s Symbol, loc Location) { f(SymbolName(s), loc) })
-}
-
 // Domain returns Dom ρ in lexical order.
 func (e Env) Domain() []string {
 	out := make([]string, 0, e.Size())
@@ -345,13 +239,4 @@ func (e Env) Locations() []Location {
 		return nil
 	}
 	return e.AppendLocations(make([]Location, 0, e.Size()))
-}
-
-// Graph returns graph(ρ) as a slice of bindings, for Figure 8 accounting.
-func (e Env) Graph() []Binding {
-	out := make([]Binding, 0, e.Size())
-	e.EachSym(func(s Symbol, loc Location) {
-		out = append(out, Binding{Name: SymbolName(s), Loc: loc})
-	})
-	return out
 }

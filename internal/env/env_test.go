@@ -5,22 +5,25 @@ import (
 	"testing/quick"
 )
 
+// syms interns a list of spellings, for building test environments.
+func syms(names ...string) []Symbol { return InternAll(names) }
+
 func TestEmpty(t *testing.T) {
 	e := Empty()
 	if e.Size() != 0 || !e.IsEmpty() {
 		t.Fatal("empty env should have size 0")
 	}
-	if _, ok := e.Lookup("x"); ok {
+	if _, ok := e.LookupSym(Intern("x")); ok {
 		t.Fatal("empty env should not resolve x")
 	}
 }
 
 func TestExtendAndLookup(t *testing.T) {
-	e := Empty().Extend([]string{"x", "y"}, []Location{1, 2})
-	if l, ok := e.Lookup("x"); !ok || l != 1 {
+	e := Empty().ExtendSyms(syms("x", "y"), []Location{1, 2})
+	if l, ok := e.LookupSym(Intern("x")); !ok || l != 1 {
 		t.Fatalf("x -> %v %v", l, ok)
 	}
-	if l, ok := e.Lookup("y"); !ok || l != 2 {
+	if l, ok := e.LookupSym(Intern("y")); !ok || l != 2 {
 		t.Fatalf("y -> %v %v", l, ok)
 	}
 	if e.Size() != 2 {
@@ -29,17 +32,31 @@ func TestExtendAndLookup(t *testing.T) {
 }
 
 func TestExtendShadows(t *testing.T) {
-	e := Empty().Extend([]string{"x"}, []Location{1})
-	e2 := e.Extend([]string{"x"}, []Location{9})
-	if l, _ := e2.Lookup("x"); l != 9 {
+	x := Intern("x")
+	e := Empty().ExtendSyms([]Symbol{x}, []Location{1})
+	e2 := e.ExtendSyms([]Symbol{x}, []Location{9})
+	if l, _ := e2.LookupSym(x); l != 9 {
 		t.Fatalf("shadowed x = %v", l)
 	}
 	// The original environment is unchanged (persistence).
-	if l, _ := e.Lookup("x"); l != 1 {
+	if l, _ := e.LookupSym(x); l != 1 {
 		t.Fatalf("original x = %v", l)
 	}
 	if e2.Size() != 1 {
 		t.Fatalf("shadowing must not grow the domain: %d", e2.Size())
+	}
+}
+
+// TestExtendLaterEntryWins pins shadowing within one rib: a repeated
+// identifier binds its last location and counts once in |Dom ρ|.
+func TestExtendLaterEntryWins(t *testing.T) {
+	x := Intern("x")
+	e := Empty().ExtendSyms([]Symbol{x, x}, []Location{1, 2})
+	if l, _ := e.LookupSym(x); l != 2 {
+		t.Fatalf("later binding should win: %v", l)
+	}
+	if e.Size() != 1 {
+		t.Fatalf("repeated identifier grew the domain: %d", e.Size())
 	}
 }
 
@@ -49,55 +66,54 @@ func TestExtendMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Empty().Extend([]string{"x"}, nil)
+	Empty().ExtendSyms(syms("x"), nil)
 }
 
 func TestRestrict(t *testing.T) {
-	e := Empty().Extend([]string{"a", "b", "c"}, []Location{1, 2, 3})
-	r := e.Restrict(map[string]struct{}{"a": {}, "c": {}, "zz": {}})
+	e := Empty().ExtendSyms(syms("a", "b", "c"), []Location{1, 2, 3})
+	r := e.RestrictSyms(syms("a", "c", "zz"))
 	if r.Size() != 2 {
 		t.Fatalf("size = %d", r.Size())
 	}
-	if _, ok := r.Lookup("b"); ok {
+	if _, ok := r.LookupSym(Intern("b")); ok {
 		t.Fatal("b should be gone")
 	}
-	if l, ok := r.Lookup("c"); !ok || l != 3 {
+	if l, ok := r.LookupSym(Intern("c")); !ok || l != 3 {
 		t.Fatal("c should survive")
 	}
 }
 
 func TestRestrictTo(t *testing.T) {
-	e := Empty().Extend([]string{"a", "b"}, []Location{1, 2})
-	r := e.RestrictTo("b")
+	e := Empty().ExtendSyms(syms("a", "b"), []Location{1, 2})
+	r := e.RestrictToSym(Intern("b"))
 	if r.Size() != 1 {
 		t.Fatalf("size = %d", r.Size())
+	}
+	if r := e.RestrictToSym(Intern("zz")); !r.IsEmpty() {
+		t.Fatalf("restriction to an unbound identifier = %v", r.Domain())
 	}
 }
 
 func TestDomainSorted(t *testing.T) {
-	e := Empty().Extend([]string{"z", "a", "m"}, []Location{1, 2, 3})
+	e := Empty().ExtendSyms(syms("z", "a", "m"), []Location{1, 2, 3})
 	d := e.Domain()
 	if len(d) != 3 || d[0] != "a" || d[1] != "m" || d[2] != "z" {
 		t.Fatalf("domain = %v", d)
 	}
 }
 
+// TestGraphAndLocations checks graph(ρ) — the (identifier, location) pairs
+// EachSym visits — and Ran ρ when two identifiers share a location.
 func TestGraphAndLocations(t *testing.T) {
-	e := Empty().Extend([]string{"x", "y"}, []Location{7, 7})
-	g := e.Graph()
-	if len(g) != 2 {
-		t.Fatalf("graph = %v", g)
+	e := Empty().ExtendSyms(syms("x", "y"), []Location{7, 7})
+	graph := map[Symbol]Location{}
+	e.EachSym(func(s Symbol, l Location) { graph[s] = l })
+	if len(graph) != 2 || graph[Intern("x")] != 7 || graph[Intern("y")] != 7 {
+		t.Fatalf("graph = %v", graph)
 	}
 	locs := e.Locations()
 	if len(locs) != 2 || locs[0] != 7 || locs[1] != 7 {
 		t.Fatalf("locations = %v", locs)
-	}
-}
-
-func TestFromBindings(t *testing.T) {
-	e := FromBindings(Binding{"x", 1}, Binding{"x", 2})
-	if l, _ := e.Lookup("x"); l != 2 {
-		t.Fatalf("later binding should win: %v", l)
 	}
 }
 
@@ -107,23 +123,24 @@ func TestPropertyRestrictShrinks(t *testing.T) {
 		for i := range locs {
 			locs[i] = Location(i)
 		}
-		e := Empty().Extend(names, locs)
-		keep := make(map[string]struct{})
-		for _, k := range keepNames {
-			keep[k] = struct{}{}
-		}
-		r := e.Restrict(keep)
+		e := Empty().ExtendSyms(InternAll(names), locs)
+		keep := InternAll(keepNames)
+		r := e.RestrictSyms(keep)
 		if r.Size() > e.Size() {
 			return false
 		}
 		// Every surviving binding agrees with the original.
 		ok := true
-		r.Each(func(name string, loc Location) {
-			orig, found := e.Lookup(name)
+		r.EachSym(func(s Symbol, loc Location) {
+			orig, found := e.LookupSym(s)
 			if !found || orig != loc {
 				ok = false
 			}
-			if _, inKeep := keep[name]; !inKeep {
+			inKeep := false
+			for _, k := range keep {
+				inKeep = inKeep || k == s
+			}
+			if !inKeep {
 				ok = false
 			}
 		})
@@ -144,14 +161,14 @@ func TestPropertyExtendLookup(t *testing.T) {
 		for i := range addLocs {
 			addLocs[i] = Location(1000 + i)
 		}
-		e := Empty().Extend(base, baseLocs).Extend(add, addLocs)
+		e := Empty().ExtendSyms(InternAll(base), baseLocs).ExtendSyms(InternAll(add), addLocs)
 		// Every added name resolves to its last-added location.
 		last := make(map[string]Location)
 		for i, n := range add {
 			last[n] = addLocs[i]
 		}
 		for n, want := range last {
-			if got, ok := e.Lookup(n); !ok || got != want {
+			if got, ok := e.LookupSym(Intern(n)); !ok || got != want {
 				return false
 			}
 		}

@@ -3,13 +3,12 @@ package env
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Symbol is an interned identifier: a small dense integer standing for one
-// identifier spelling. The zero Symbol is invalid ("not interned"), so a
-// zero-valued AST field can be detected and lazily interned by evaluators
-// that receive syntax built without the expander.
+// identifier spelling. The zero Symbol is invalid ("not interned"); the
+// expander, and ast.InternSyms for syntax built in code, fill every
+// identifier field before a machine sees it.
 //
 // Interning is global and append-only: a spelling keeps its Symbol for the
 // life of the process, so symbols can be compared, stored in continuations,
@@ -17,48 +16,33 @@ import (
 // hot path.
 type Symbol uint32
 
-// symtab is the process-wide intern table. Writes (new spellings) take the
-// mutex; reads go through an atomically published snapshot so SymbolName and
-// symbolOf never contend with each other.
+// symtab is the process-wide intern table. names[s] is the spelling of
+// Symbol s and names[0] the invalid symbol; entries are written once, before
+// the write lock is released, and never change, so a reader may index a
+// names header it copied under the read lock after releasing it.
 var symtab = struct {
-	mu  sync.Mutex
-	ids atomic.Pointer[map[string]Symbol]
-	// names[s] is the spelling of Symbol s; names[0] is the invalid symbol.
-	names atomic.Pointer[[]string]
-}{}
+	mu    sync.RWMutex
+	ids   map[string]Symbol
+	names []string
+}{ids: map[string]Symbol{}, names: []string{""}}
 
-func init() {
-	ids := make(map[string]Symbol)
-	names := []string{""}
-	symtab.ids.Store(&ids)
-	symtab.names.Store(&names)
-}
-
-// Intern returns the Symbol for name, creating one on first use.
+// Intern returns the Symbol for name, creating one on first use. A new
+// spelling costs one map insert and one append.
 func Intern(name string) Symbol {
-	if s, ok := (*symtab.ids.Load())[name]; ok {
+	symtab.mu.RLock()
+	s, ok := symtab.ids[name]
+	symtab.mu.RUnlock()
+	if ok {
 		return s
 	}
 	symtab.mu.Lock()
 	defer symtab.mu.Unlock()
-	oldIDs := *symtab.ids.Load()
-	if s, ok := oldIDs[name]; ok {
+	if s, ok := symtab.ids[name]; ok {
 		return s
 	}
-	// Copy-on-write: readers hold immutable snapshots, so a new spelling
-	// publishes fresh map and slice headers instead of mutating in place.
-	oldNames := *symtab.names.Load()
-	s := Symbol(len(oldNames))
-	ids := make(map[string]Symbol, len(oldIDs)+1)
-	for k, v := range oldIDs {
-		ids[k] = v
-	}
-	ids[name] = s
-	names := make([]string, len(oldNames)+1)
-	copy(names, oldNames)
-	names[s] = name
-	symtab.ids.Store(&ids)
-	symtab.names.Store(&names)
+	s = Symbol(len(symtab.names))
+	symtab.ids[name] = s
+	symtab.names = append(symtab.names, name)
 	return s
 }
 
@@ -71,25 +55,13 @@ func InternAll(names []string) []Symbol {
 	return out
 }
 
-// symbolOf resolves a spelling without creating a Symbol; ok is false when
-// the spelling was never interned (so it cannot be bound in any Env).
-func symbolOf(name string) (Symbol, bool) {
-	s, ok := (*symtab.ids.Load())[name]
-	return s, ok
-}
-
 // SymbolName returns the spelling of s.
 func SymbolName(s Symbol) string {
-	names := *symtab.names.Load()
+	symtab.mu.RLock()
+	names := symtab.names
+	symtab.mu.RUnlock()
 	if int(s) < len(names) {
 		return names[s]
 	}
 	return fmt.Sprintf("sym#%d", uint32(s))
-}
-
-// NumSymbols reports how many symbols have been interned (plus one for the
-// invalid zero symbol) — the exclusive upper bound of every valid Symbol,
-// usable for sizing dense per-symbol scratch tables.
-func NumSymbols() int {
-	return len(*symtab.names.Load())
 }

@@ -1,18 +1,20 @@
 package env
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
-// TestInternedLookupMatchesMapReference drives randomized Extend/Restrict
+// TestInternedLookupMatchesMapReference drives randomized extend/restrict
 // chains — drawn from a small name pool so shadowing is frequent — against a
 // plain map-of-strings model of the finite-map semantics. Every historical
 // environment is re-checked after every operation (persistence: extending a
 // chain must not disturb any environment that shares its ribs), and each
-// check crosses the full API: string Lookup, interned LookupSym, Size,
-// Domain, EachSym visit-once iteration, and the Locations root multiset.
+// check crosses the full API: LookupSym, Size, EachSym visit-once iteration,
+// and the Locations root multiset.
 func TestInternedLookupMatchesMapReference(t *testing.T) {
 	pool := []string{"a", "b", "c", "d", "e", "f", "x", "y", "z", "shadow"}
 	rng := rand.New(rand.NewSource(0x5eed))
@@ -36,7 +38,7 @@ func TestInternedLookupMatchesMapReference(t *testing.T) {
 					nextLoc++
 					locs[i] = nextLoc
 				}
-				e = e.Extend(names, locs)
+				e = e.ExtendSyms(InternAll(names), locs)
 				next := make(map[string]Location, len(ref)+n)
 				for k, v := range ref {
 					next[k] = v
@@ -52,7 +54,7 @@ func TestInternedLookupMatchesMapReference(t *testing.T) {
 						keep = append(keep, name)
 					}
 				}
-				e = e.RestrictTo(keep...)
+				e = e.RestrictSyms(InternAll(keep))
 				next := map[string]Location{}
 				for _, name := range keep {
 					if l, ok := ref[name]; ok {
@@ -88,12 +90,7 @@ func checkEnvAgainst(t *testing.T, trial, step int, e Env, ref map[string]Locati
 	}
 	for _, name := range pool {
 		wantLoc, wantOK := ref[name]
-		gotLoc, gotOK := e.Lookup(name)
-		if gotOK != wantOK || (wantOK && gotLoc != wantLoc) {
-			t.Errorf("trial %d step %d: Lookup(%q)=(%d,%v) want (%d,%v)",
-				trial, step, name, gotLoc, gotOK, wantLoc, wantOK)
-		}
-		gotLoc, gotOK = e.LookupSym(Intern(name))
+		gotLoc, gotOK := e.LookupSym(Intern(name))
 		if gotOK != wantOK || (wantOK && gotLoc != wantLoc) {
 			t.Errorf("trial %d step %d: LookupSym(%q)=(%d,%v) want (%d,%v)",
 				trial, step, name, gotLoc, gotOK, wantLoc, wantOK)
@@ -152,13 +149,41 @@ func TestSymbolInternBasics(t *testing.T) {
 	if SymbolName(a1) != "intern-basics-a" {
 		t.Errorf("SymbolName round-trip: got %q", SymbolName(a1))
 	}
-	if n := NumSymbols(); n <= int(a1) || n <= int(b) {
-		t.Errorf("NumSymbols=%d does not bound interned symbols %d, %d", n, a1, b)
+	if got := SymbolName(0); got != "" {
+		t.Errorf("SymbolName(0) = %q, want the empty invalid spelling", got)
 	}
-	if _, ok := symbolOf("intern-basics-never-interned"); ok {
-		t.Error("symbolOf invented a symbol for an unseen spelling")
+}
+
+// TestInternConcurrent interns overlapping spellings from several
+// goroutines: each spelling must get exactly one Symbol, and every Symbol
+// must round-trip to its spelling.
+func TestInternConcurrent(t *testing.T) {
+	const workers, spellings = 4, 500
+	got := make([][]Symbol, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			out := make([]Symbol, spellings)
+			for i := range out {
+				// Each worker walks the spellings from a different start.
+				j := (i + w*spellings/workers) % spellings
+				out[j] = Intern(fmt.Sprintf("intern-concurrent-%d", j))
+			}
+			got[w] = out
+		}(w)
 	}
-	if symbolOf2, ok := symbolOf("intern-basics-a"); !ok || symbolOf2 != a1 {
-		t.Errorf("symbolOf(%q)=(%d,%v), want (%d,true)", "intern-basics-a", symbolOf2, ok, a1)
+	wg.Wait()
+	for i := 0; i < spellings; i++ {
+		want := fmt.Sprintf("intern-concurrent-%d", i)
+		for w := range got {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("%q interned as %d and %d", want, got[0][i], got[w][i])
+			}
+		}
+		if name := SymbolName(got[0][i]); name != want {
+			t.Fatalf("SymbolName(%d) = %q, want %q", got[0][i], name, want)
+		}
 	}
 }

@@ -32,7 +32,6 @@ func ReturnEnvAblation() (Table, error) {
 			res, err := core.RunApplication(VectorFrames, fmt.Sprintf("(quote %d)", n), core.Options{
 				Variant: core.GC, Measure: true, FlatOnly: true,
 				GCEvery: 1, CostModel: expModel(space.Fixnum), MaxSteps: 5_000_000,
-				Backend: expBackend(),
 			})
 			if err != nil {
 				return nil, err

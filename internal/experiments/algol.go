@@ -26,7 +26,6 @@ func AlgolSubset() (Table, error) {
 		strictVerdict := "runs"
 		res, err := core.RunProgram(p.Source, core.Options{
 			Variant: core.Stack, StackStrict: true, MaxSteps: 5_000_000,
-			Backend: expBackend(),
 		})
 		if err != nil {
 			return t, fmt.Errorf("algol: %s: %w", p.Name, err)
@@ -47,7 +46,7 @@ func AlgolSubset() (Table, error) {
 
 		// The maximal-safe choice of A must always complete (the paper's
 		// nondeterminism resolved in the program's favour).
-		safe, err := core.RunProgram(p.Source, core.Options{Variant: core.Stack, MaxSteps: 5_000_000, Backend: expBackend()})
+		safe, err := core.RunProgram(p.Source, core.Options{Variant: core.Stack, MaxSteps: 5_000_000})
 		if err != nil {
 			return t, err
 		}

@@ -57,7 +57,7 @@ func ControlSpaceExperiment() (Table, error) {
 	}
 
 	depthAt := func(src string) (int, error) {
-		res, err := core.RunProgram(src, core.Options{Variant: core.Tail, MaxSteps: 5_000_000, Backend: expBackend()})
+		res, err := core.RunProgram(src, core.Options{Variant: core.Tail, MaxSteps: 5_000_000})
 		if err != nil {
 			return 0, err
 		}

@@ -59,7 +59,7 @@ func CPSExperiment() (Table, error) {
 			t.Violationf("%s: %d non-tail calls to unknown procedures after CPS", p.Name, badNonTail)
 		}
 
-		res := core.NewRunner(core.Options{Variant: core.Tail, MaxSteps: 8_000_000, Backend: expBackend()}).Run(converted)
+		res := core.NewRunner(core.Options{Variant: core.Tail, MaxSteps: 8_000_000}).Run(converted)
 		t.Absorb(res.Metrics)
 		verdict := res.Answer
 		if res.Err != nil {
@@ -86,7 +86,6 @@ func CPSExperiment() (Table, error) {
 		res := core.NewRunner(core.Options{
 			Variant: core.Tail, Measure: true, FlatOnly: true,
 			GCEvery: 1, CostModel: expModel(space.Fixnum), MaxSteps: 8_000_000,
-			Backend: expBackend(),
 		}).Run(converted)
 		return res.PeakFlat, res.Err
 	}

@@ -38,7 +38,7 @@ func DenotationalAgreement(randomCount int) (Table, error) {
 		want := core.Answer(v, st)
 		agreeing := 0
 		for _, variant := range core.AllVariants {
-			res, err := core.RunProgram(p.src, core.Options{Variant: variant, MaxSteps: 5_000_000, Backend: expBackend()})
+			res, err := core.RunProgram(p.src, core.Options{Variant: variant, MaxSteps: 5_000_000})
 			if err != nil {
 				return t, fmt.Errorf("%s [%s]: %w", p.name, variant, err)
 			}

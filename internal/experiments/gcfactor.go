@@ -87,7 +87,7 @@ func GCFactor(n int, periods []int) (Table, error) {
 func measureWithPeriod(n, k int) (int, error) {
 	res, err := core.RunApplication(allocLoop, fmt.Sprintf("(quote %d)", n), core.Options{
 		Variant: core.Tail, Measure: true, FlatOnly: true, GCEvery: k,
-		MaxSteps: 5_000_000, CostModel: expModel(space.Fixnum), Backend: expBackend(),
+		MaxSteps: 5_000_000, CostModel: expModel(space.Fixnum),
 	})
 	if err != nil {
 		return 0, err
@@ -122,7 +122,7 @@ func Corollary20(programs map[string]string) (Table, error) {
 		v := core.Variants[i%perProgram/len(orders)]
 		o := orders[i%len(orders)]
 		res, err := core.RunProgram(programs[name], core.Options{
-			Variant: v, Order: o, Seed: 42, MaxSteps: 5_000_000, Backend: expBackend(),
+			Variant: v, Order: o, Seed: 42, MaxSteps: 5_000_000,
 		})
 		if err != nil {
 			return fmt.Errorf("corollary20: %s: %w", name, err)

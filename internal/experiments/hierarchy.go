@@ -56,7 +56,7 @@ func Hierarchy(programs map[string]string, n int) (Table, error) {
 		v := core.Variants[i%len(core.Variants)]
 		res, err := core.RunApplication(programs[name], fmt.Sprintf("(quote %d)", n), core.Options{
 			Variant: v, Measure: true, GCEvery: 1, MaxSteps: 5_000_000,
-			CostModel: expModel(space.Fixnum), Backend: expBackend(),
+			CostModel: expModel(space.Fixnum),
 		})
 		if err != nil {
 			return fmt.Errorf("hierarchy: %s [%s]: %w", name, v, err)

@@ -46,7 +46,6 @@ func MTAExperiment(ns []int) (Table, error) {
 			res, err := core.RunApplication(CountdownLoop, fmt.Sprintf("(quote %d)", n), core.Options{
 				Variant: c.variant, Measure: true, FlatOnly: true,
 				GCEvery: c.gcEvery, CostModel: expModel(space.Fixnum), MaxSteps: 5_000_000,
-				Backend: expBackend(),
 			})
 			if err != nil {
 				return t, err

@@ -140,24 +140,3 @@ func expModel(def space.CostModel) space.CostModel {
 	}
 	return def
 }
-
-// poolBackend is the package-wide execution backend; the zero value is the
-// stepper, so experiments behave exactly as before unless a caller opts in.
-var poolBackend core.Backend
-
-// SetBackend installs a package-wide execution backend (the spacelab and
-// tailscan -backend flag): every sweep and grid run executes under it. The
-// backends are observationally identical — same rules, events, and peaks —
-// so this only changes wall-clock time, never results.
-func SetBackend(b core.Backend) {
-	poolMu.Lock()
-	poolBackend = b
-	poolMu.Unlock()
-}
-
-// expBackend reads the installed backend (BackendStepper when none).
-func expBackend() core.Backend {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	return poolBackend
-}

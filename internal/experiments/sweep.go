@@ -107,7 +107,6 @@ func sweep(label string, gen func(n int) string, v core.Variant, ns []int, opts 
 			MaxSteps:  maxSteps,
 			CostModel: expModel(opts.Model),
 			Order:     opts.Order,
-			Backend:   expBackend(),
 			Cancel:    cancelChan(),
 		})
 		if err != nil {

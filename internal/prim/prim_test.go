@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"tailspace/internal/env"
 	"tailspace/internal/value"
 )
 
@@ -314,7 +315,7 @@ func TestGlobalBindsEverything(t *testing.T) {
 	if rho.Size() != len(Names()) {
 		t.Fatalf("rho0 has %d bindings, want %d", rho.Size(), len(Names()))
 	}
-	loc, ok := rho.Lookup("+")
+	loc, ok := rho.LookupSym(env.Intern("+"))
 	if !ok {
 		t.Fatal("+ unbound in rho0")
 	}

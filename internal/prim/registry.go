@@ -85,7 +85,7 @@ func GlobalInto(st *value.Store) (env.Env, *value.Store) {
 	for i, n := range names {
 		locs[i] = st.Alloc(registry[n])
 	}
-	return env.Empty().Extend(names, locs), st
+	return env.Empty().ExtendSyms(env.InternAll(names), locs), st
 }
 
 // Argument helpers shared by the primitive implementations.

@@ -39,11 +39,6 @@ type EvalRequest struct {
 	// "right". The random order is rejected — its results are not
 	// deterministic, so they must not enter the content-addressed cache.
 	Order string `json:"order,omitempty"`
-	// Backend selects the execution backend: "stepper" or "compiled";
-	// empty means the server's configured default. The backends are
-	// observationally identical, but the backend still enters the cache
-	// key — a cache entry names the computation that produced it.
-	Backend string `json:"backend,omitempty"`
 }
 
 // EvalResponse is the observable outcome of one run.
@@ -76,9 +71,6 @@ type MeasureRequest struct {
 	FlatOnly bool   `json:"flatOnly,omitempty"`
 	MaxSteps int    `json:"maxSteps,omitempty"`
 	Order    string `json:"order,omitempty"`
-	// Backend selects the execution backend ("stepper" or "compiled");
-	// empty means the server default. Part of the cache identity.
-	Backend string `json:"backend,omitempty"`
 }
 
 // MeasureCell is one grid cell: the peaks of one (machine, cost-model) run.
@@ -188,15 +180,6 @@ func parseCostModel(name string) (space.CostModel, error) {
 		return nil, fmt.Errorf("unknown cost model %q (want word|fixnum|log)", name)
 	}
 	return m, nil
-}
-
-// parseBackend resolves a wire backend name; empty defers to def (the
-// server's configured default).
-func parseBackend(name string, def core.Backend) (core.Backend, error) {
-	if name == "" {
-		return def, nil
-	}
-	return core.ParseBackend(name)
 }
 
 // parseOrder resolves a wire argument-order name. RandomOrder is rejected:

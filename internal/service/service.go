@@ -43,9 +43,6 @@ type Config struct {
 	// Events, when non-nil, receives one obs.EventRequest per served
 	// request. The server serializes emissions, so any Sink works.
 	Events obs.Sink
-	// Backend is the execution backend for requests that do not name one
-	// (the spaced -backend flag). The zero value is the stepper.
-	Backend core.Backend
 }
 
 // Server is the spaced service core: handlers plus the worker pool, result
@@ -452,11 +449,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, st *reqState
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	backend, err := parseBackend(req.Backend, s.cfg.Backend)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	expandStart := time.Now()
 	expanded, _, err := expandProgram(req.Program)
 	s.span(st.tc, "expand", expandStart)
@@ -471,17 +463,14 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, st *reqState
 		}
 	}
 	maxSteps := s.clampSteps(req.MaxSteps)
-	// The backend's canonical name enters the key (not the client's
-	// spelling): the two backends compute identical observables, but a
-	// cache entry names the exact computation that produced it.
 	key := cacheKey("eval", expanded, req.Input, v.Name, req.Order,
-		strconv.Itoa(maxSteps), backend.String())
+		strconv.Itoa(maxSteps))
 
 	ctx, cancel := s.withDeadline(r)
 	defer cancel()
 	val, disposition, err := s.cache.do(ctx, s.base, s.cfg.RequestTimeout, key, s.lookupSpan(st.tc), func(fctx context.Context) (any, error) {
 		res, err := s.runCell(fctx, st.tc, req.Program, req.Input, core.Options{
-			Variant: v, MaxSteps: maxSteps, Order: order, Backend: backend,
+			Variant: v, MaxSteps: maxSteps, Order: order,
 		})
 		if err != nil {
 			return nil, err
@@ -539,11 +528,6 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request, st *reqSt
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	backend, err := parseBackend(req.Backend, s.cfg.Backend)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	expandStart := time.Now()
 	expanded, size, err := expandProgram(req.Program)
 	s.span(st.tc, "expand", expandStart)
@@ -581,14 +565,13 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request, st *reqSt
 			go func(i int, v core.Variant, model space.CostModel, modelName string) {
 				defer wg.Done()
 				key := cacheKey("measure", expanded, req.Input, v.Name, modelName,
-					strconv.FormatBool(req.FlatOnly), req.Order, strconv.Itoa(maxSteps),
-					backend.String())
+					strconv.FormatBool(req.FlatOnly), req.Order, strconv.Itoa(maxSteps))
 				val, disposition, err := s.cache.do(ctx, s.base, s.cfg.RequestTimeout, key, s.lookupSpan(st.tc), func(fctx context.Context) (any, error) {
 					measureStart := time.Now()
 					res, err := s.runCell(fctx, st.tc, req.Program, req.Input, core.Options{
 						Variant: v, Measure: true, FlatOnly: req.FlatOnly,
 						GCEvery: 1, MaxSteps: maxSteps, Order: order,
-						CostModel: model, Backend: backend,
+						CostModel: model,
 					})
 					s.span(st.tc, "measure", measureStart)
 					if err != nil {

@@ -501,54 +501,22 @@ func TestCostModelsAreDistinctCacheIdentities(t *testing.T) {
 	}
 }
 
-// TestBackendsAreDistinctCacheIdentities pins the backend axis of the cache
-// key: the compiled backend computes the same observables as the stepper —
-// every cell field must agree — but a cache entry names the computation that
-// produced it, so the two backends are two identities (the second backend
-// misses) and an unknown backend is a client error.
-func TestBackendsAreDistinctCacheIdentities(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	req := func(backend string) MeasureResponse {
-		var resp MeasureResponse
-		r := MeasureRequest{Program: countdown, Input: "(quote 6)",
-			Machines: []string{"tail"}, CostModels: []string{"fixnum"},
-			Backend: backend}
-		if status := post(t, ts.URL+"/v1/measure", r, &resp); status != http.StatusOK {
-			t.Fatalf("measure backend=%q: status = %d", backend, status)
+// TestBackendFieldIsRejected pins that the wire API has one engine: a body
+// naming "backend" is an unknown field, answered 400 before any run, on both
+// endpoints that once took one.
+func TestBackendFieldIsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/eval", `{"program": "(+ 1 2)", "backend": "stepper"}`},
+		{"/v1/measure", `{"program": "(+ 1 2)", "backend": "compiled"}`},
+	} {
+		status, body := postCtx(t, context.Background(), ts.URL+tc.path, json.RawMessage(tc.body))
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s with backend: status = %d, want 400\n%s", tc.path, status, body)
 		}
-		return resp
-	}
-
-	stepper := req("stepper")
-	m := s.Metrics()
-	missesAfterStepper := m.Counter(MetricCacheMisses)
-	hitsAfterStepper := m.Counter(MetricCacheHits)
-
-	compiled := req("compiled")
-	if got := m.Counter(MetricCacheMisses); got != missesAfterStepper+1 {
-		t.Fatalf("compiled backend must be a fresh cache identity: misses = %d, want %d", got, missesAfterStepper+1)
-	}
-	if got := m.Counter(MetricCacheHits); got != hitsAfterStepper {
-		t.Fatalf("compiled backend must not hit the stepper entry: hits = %d, want %d", got, hitsAfterStepper)
-	}
-	if stepper.Cells[0] != compiled.Cells[0] {
-		t.Fatalf("backends must agree on every observable: stepper=%+v compiled=%+v",
-			stepper.Cells[0], compiled.Cells[0])
-	}
-
-	// The empty backend resolves to the server default (the stepper here),
-	// so it shares the stepper entry.
-	again := req("")
-	if got := m.Counter(MetricCacheHits); got != hitsAfterStepper+1 {
-		t.Fatalf("default backend must hit the stepper entry: hits = %d, want %d", got, hitsAfterStepper+1)
-	}
-	if again.Cells[0] != stepper.Cells[0] {
-		t.Fatalf("cached cell differs: %+v vs %+v", again.Cells[0], stepper.Cells[0])
-	}
-
-	var resp MeasureResponse
-	bad := MeasureRequest{Program: countdown, Backend: "jit"}
-	if status := post(t, ts.URL+"/v1/measure", bad, &resp); status != http.StatusBadRequest {
-		t.Fatalf("unknown backend: status = %d, want 400", status)
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, `unknown field "backend"`) {
+			t.Fatalf("%s with backend: error does not name the field: %s", tc.path, body)
+		}
 	}
 }

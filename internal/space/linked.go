@@ -17,9 +17,9 @@ import (
 // charged as in Figure 7 minus its |Dom ρ| terms, and closures cost a
 // single word.
 
-// binding is one element of graph(ρ) keyed by interned identifier — cheaper
-// to hash than the string-keyed env.Binding, with the same set cardinality
-// (interning is injective on spellings).
+// binding is one element of graph(ρ): an (identifier, location) pair keyed
+// by interned identifier, so the set's cardinality is the number of distinct
+// (spelling, location) pairs (interning is injective on spellings).
 type binding struct {
 	sym env.Symbol
 	loc env.Location

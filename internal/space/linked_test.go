@@ -30,7 +30,7 @@ func TestLinkedValueCosts(t *testing.T) {
 }
 
 func TestLinkedClosureCostsOneWord(t *testing.T) {
-	rho := env.Empty().Extend([]string{"a", "b"}, []env.Location{1, 2})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"a", "b"}), []env.Location{1, 2})
 	w := newLinkedWalker(Word)
 	cl := value.Closure{Lam: &ast.Lambda{}, Env: rho}
 	if got := w.valueSpace(cl).At(1); got != 1 {
@@ -42,7 +42,7 @@ func TestLinkedClosureCostsOneWord(t *testing.T) {
 }
 
 func TestLinkedContFrameCosts(t *testing.T) {
-	rho := env.Empty().Extend([]string{"x"}, []env.Location{9})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{9})
 	w := newLinkedWalker(Word)
 	var k value.Cont = value.Halt{}
 	k = &value.Assign{Name: "x", Env: rho, K: k}
@@ -61,7 +61,7 @@ func TestLinkedContFrameCosts(t *testing.T) {
 }
 
 func TestLinkedPushHoldsClosuresByReference(t *testing.T) {
-	rho := env.Empty().Extend([]string{"v"}, []env.Location{5})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"v"}), []env.Location{5})
 	cl := value.Closure{Lam: &ast.Lambda{}, Env: rho}
 	w := newLinkedWalker(Word)
 	k := &value.Push{
@@ -80,7 +80,7 @@ func TestLinkedPushHoldsClosuresByReference(t *testing.T) {
 }
 
 func TestLinkedEscapeHeldInContinuationChargesFrames(t *testing.T) {
-	rho := env.Empty().Extend([]string{"x"}, []env.Location{5})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{5})
 	esc := value.Escape{K: &value.Return{Env: rho, K: value.Halt{}}}
 	w := newLinkedWalker(Word)
 	k := &value.Call{Args: []value.Value{esc}, K: value.Halt{}}

@@ -16,7 +16,7 @@ func buildConfig() (value.Value, env.Env, value.Cont, *value.Store) {
 	b := st.Alloc(value.Str("hello"))
 	st.Alloc(value.Pair{CarLoc: a, CdrLoc: b})
 
-	rho := env.Empty().Extend([]string{"x", "y"}, []env.Location{a, b})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x", "y"}), []env.Location{a, b})
 	var k value.Cont = value.Halt{}
 	k = &value.Return{Env: rho, K: k}
 	k = &value.Call{Args: []value.Value{value.NewNum(3)}, K: k}

@@ -85,7 +85,7 @@ func TestVectorCostLinked(t *testing.T) {
 
 func TestClosureCost(t *testing.T) {
 	// Figure 7: space(CLOSURE:(α,L,ρ)) = 1 + |Dom ρ|.
-	rho := env.Empty().Extend([]string{"a", "b", "c"}, []env.Location{1, 2, 3})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"a", "b", "c"}), []env.Location{1, 2, 3})
 	cl := value.Closure{Tag: 0, Lam: &ast.Lambda{}, Env: rho}
 	if got := w1(word.Value(cl)); got != 4 {
 		t.Fatalf("space(closure) = %d, want 4", got)
@@ -102,7 +102,7 @@ func TestPairAndStringCosts(t *testing.T) {
 }
 
 func TestContCosts(t *testing.T) {
-	rho2 := env.Empty().Extend([]string{"x", "y"}, []env.Location{1, 2})
+	rho2 := env.Empty().ExtendSyms(env.InternAll([]string{"x", "y"}), []env.Location{1, 2})
 	var k value.Cont = value.Halt{}
 	if got := w1(word.Cont(k)); got != 1 {
 		t.Fatalf("halt = %d", got)
@@ -170,7 +170,7 @@ func TestStoreCost(t *testing.T) {
 func TestFlatConfig(t *testing.T) {
 	st := value.NewStore()
 	loc := st.Alloc(value.NewNum(3)) // store: 1 + 3 = 4... bitlen(3)=2 → value 3, slot 4
-	rho := env.Empty().Extend([]string{"x"}, []env.Location{loc})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{loc})
 	// Expression configuration: |Dom ρ| + space(halt) + space(σ) = 1 + 1 + 4.
 	if got := word.Flat(nil, rho, value.Halt{}, st); got != 6 {
 		t.Fatalf("flat expr config = %d, want 6", got)
@@ -182,7 +182,7 @@ func TestFlatConfig(t *testing.T) {
 }
 
 func TestEscapeCostIncludesContinuation(t *testing.T) {
-	rho := env.Empty().Extend([]string{"x"}, []env.Location{1})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{1})
 	esc := value.Escape{Tag: 0, K: &value.Return{Env: rho, K: value.Halt{}}}
 	// 1 + (1 + 1 + 1)
 	if got := w1(word.Value(esc)); got != 4 {
@@ -199,7 +199,7 @@ func TestEscapeCostLinked(t *testing.T) {
 	// Linked: the escape costs its shell plus its retained frames, with the
 	// saved environment folded into the global binding set instead of being
 	// charged per frame.
-	rho := env.Empty().Extend([]string{"x", "y"}, []env.Location{1, 2})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x", "y"}), []env.Location{1, 2})
 	esc := value.Escape{Tag: 0, K: &value.Return{Env: rho, K: value.Halt{}}}
 	w := newLinkedWalker(Word)
 	// shell 1 + return 1 + halt 1; the two bindings go to the global set.
@@ -267,7 +267,7 @@ func TestLinkedCountsSharedBindingsOnce(t *testing.T) {
 	st := value.NewStore()
 	x := st.Alloc(value.NewNum(1))
 	y := st.Alloc(value.NewNum(2))
-	rho := env.Empty().Extend([]string{"x", "y"}, []env.Location{x, y})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x", "y"}), []env.Location{x, y})
 	lam := &ast.Lambda{Body: &ast.Var{Name: "x"}}
 	t1 := st.Alloc(value.Unspecified{})
 	t2 := st.Alloc(value.Unspecified{})
@@ -289,8 +289,8 @@ func TestLinkedDistinctBindingsNotShared(t *testing.T) {
 	st := value.NewStore()
 	x1 := st.Alloc(value.NewNum(1))
 	x2 := st.Alloc(value.NewNum(2))
-	rho1 := env.Empty().Extend([]string{"x"}, []env.Location{x1})
-	rho2 := env.Empty().Extend([]string{"x"}, []env.Location{x2})
+	rho1 := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{x1})
+	rho2 := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{x2})
 	lam := &ast.Lambda{Body: &ast.Var{Name: "x"}}
 	st.Alloc(value.Closure{Tag: st.Alloc(value.Unspecified{}), Lam: lam, Env: rho1})
 	st.Alloc(value.Closure{Tag: st.Alloc(value.Unspecified{}), Lam: lam, Env: rho2})
@@ -307,7 +307,7 @@ func TestLinkedConfigEnvShared(t *testing.T) {
 	// environment: linked counts it once.
 	st := value.NewStore()
 	x := st.Alloc(value.NewNum(1))
-	rho := env.Empty().Extend([]string{"x"}, []env.Location{x})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{x})
 	k := &value.Return{Env: rho, K: value.Halt{}}
 	flat := word.Flat(nil, rho, k, st)
 	linked := word.Linked(nil, rho, k, st)
@@ -320,13 +320,13 @@ func TestLinkedSharedEscapeContinuationCountedOnce(t *testing.T) {
 	// An escape whose continuation is the live continuation must not double
 	// count the frames.
 	st := value.NewStore()
-	rho := env.Empty().Extend([]string{"x"}, []env.Location{st.Alloc(value.NewNum(1))})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{st.Alloc(value.NewNum(1))})
 	var live value.Cont = &value.Return{Env: rho, K: value.Halt{}}
 	st.Alloc(value.Escape{Tag: st.Alloc(value.Unspecified{}), K: live})
 	withEscape := word.Linked(nil, env.Empty(), live, st)
 
 	st2 := value.NewStore()
-	rho2 := env.Empty().Extend([]string{"x"}, []env.Location{st2.Alloc(value.NewNum(1))})
+	rho2 := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{st2.Alloc(value.NewNum(1))})
 	var live2 value.Cont = &value.Return{Env: rho2, K: value.Halt{}}
 	st2.Alloc(value.Unspecified{}) // tag placeholder for comparability
 	st2.Alloc(value.Unspecified{}) // escape replaced by an atom
@@ -362,7 +362,7 @@ func TestPropertyLinkedNeverExceedsFlat(t *testing.T) {
 			for i := range clean {
 				used[i] = locs[i%len(locs)]
 			}
-			rho := env.Empty().Extend(clean, used)
+			rho := env.Empty().ExtendSyms(env.InternAll(clean), used)
 			var k value.Cont = value.Halt{}
 			for i := 0; i < int(depth%5); i++ {
 				k = &value.Return{Env: rho, K: k}

@@ -35,16 +35,10 @@ type Select struct {
 // Assign is assign:(I, ρ, κ) — awaiting the right-hand side of a set!.
 type Assign struct {
 	Name string
-	// Sym is the interned Name when the machine had it; zero falls back to
-	// string lookup.
+	// Sym is the interned Name, the key the assignment resolves in Env.
 	Sym env.Symbol
 	Env env.Env
 	K   Cont
-	// Plan is the compiled backend's firing plan (a *compile.AssignPlan);
-	// nil under the stepper, and the compiled executor falls back to the
-	// stepper's lookup when a frame arrives without one. Plans address the
-	// static program, so they carry no space charge and no GC roots.
-	Plan any
 }
 
 // Push is push:((E,...), (v,...), π, ρ, κ) — evaluating the subexpressions
@@ -62,9 +56,6 @@ type Push struct {
 	CurIdx int
 	Env    env.Env
 	K      Cont
-	// Plan is the compiled backend's step plan (a *compile.PushStep); nil
-	// under the stepper (see Assign.Plan).
-	Plan any
 }
 
 // Call is call:((v1,...,vm), κ) — the operands are ready and the machine is

@@ -61,11 +61,6 @@ type Closure struct {
 	Tag env.Location
 	Lam *ast.Lambda
 	Env env.Env
-	// Code is the compiled body when the closure was minted by the compiled
-	// backend (a *compile.LambdaCode); nil under the stepper. It is invisible
-	// to the space accounting — Figure 7 charges a closure for its shell and
-	// copied environment, and code pointers address the static program.
-	Code any
 }
 
 // Escape is ESCAPE:(α,κ), a first-class continuation captured by call/cc.
@@ -119,16 +114,16 @@ type Foreign struct {
 	Data any
 }
 
-func (Bool) isValue()        {}
-func (Num) isValue()         {}
-func (Sym) isValue()         {}
-func (Str) isValue()         {}
-func (Char) isValue()        {}
-func (Null) isValue()        {}
-func (Unspecified) isValue() {}
-func (Undefined) isValue()   {}
-func (Pair) isValue()        {}
-func (Vector) isValue()      {}
+func (Bool) isValue()           {}
+func (Num) isValue()            {}
+func (Sym) isValue()            {}
+func (Str) isValue()            {}
+func (Char) isValue()           {}
+func (Null) isValue()           {}
+func (Unspecified) isValue()    {}
+func (Undefined) isValue()      {}
+func (Pair) isValue()           {}
+func (Vector) isValue()         {}
 func (Closure) isValue()        {}
 func (Escape) isValue()         {}
 func (*Primop) isValue()        {}

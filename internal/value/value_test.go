@@ -95,7 +95,7 @@ func TestReachabilityThroughClosureEnv(t *testing.T) {
 	clo := Closure{
 		Tag: tag,
 		Lam: &ast.Lambda{Params: nil, Body: &ast.Var{Name: "x"}},
-		Env: env.Empty().Extend([]string{"x"}, []env.Location{captured}),
+		Env: env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{captured}),
 	}
 	holder := s.Alloc(clo)
 	reach := s.Reachable([]env.Location{holder})
@@ -167,7 +167,7 @@ func TestOccursIn(t *testing.T) {
 }
 
 func TestContLocations(t *testing.T) {
-	e := env.Empty().Extend([]string{"x"}, []env.Location{3})
+	e := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{3})
 	var k Cont = Halt{}
 	k = &Select{Then: &ast.Var{Name: "a"}, Else: &ast.Var{Name: "b"}, Env: e, K: k}
 	k = &Push{Done: []Value{Pair{CarLoc: 7, CdrLoc: 8}}, Env: env.Empty(), K: k}
@@ -202,7 +202,7 @@ func TestReturnEnvironmentsAreDead(t *testing.T) {
 	// but never dereferenced, so it is not a root; only Z_stack's deletion
 	// set roots frame locations. This is what separates S_stack from S_gc
 	// (Theorem 25(a)).
-	rho := env.Empty().Extend([]string{"v"}, []env.Location{42})
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"v"}), []env.Location{42})
 	gcFrame := &Return{Env: rho, K: Halt{}}
 	for _, l := range ContLocations(gcFrame, nil) {
 		if l == 42 {
@@ -230,7 +230,7 @@ func TestDepth(t *testing.T) {
 }
 
 func TestEscapeLocations(t *testing.T) {
-	e := env.Empty().Extend([]string{"y"}, []env.Location{11})
+	e := env.Empty().ExtendSyms(env.InternAll([]string{"y"}), []env.Location{11})
 	esc := Escape{Tag: 10, K: &Assign{Name: "y", Env: e, K: Halt{}}}
 	locs := Locations(esc, nil)
 	found := map[env.Location]bool{}

@@ -25,9 +25,15 @@ go vet -vettool="$(pwd)/bin/framecheck" ./...
 echo "==> go test -race ./... $*"
 # Explicit -timeout: the race detector runs the heavy differential suites
 # 5-10x slower than plain, and a single-core runner can brush against go
-# test's default 10m per-package limit (the suites also subsample under
-# the race build tag — see internal/core/compileddiff_test.go).
+# test's default 10m per-package limit.
 go test -race -timeout 20m "$@" ./...
+
+# perfbench is a module of its own (replace tailspace => ../), so the root
+# module's build and tests never compile it; an API change can break the
+# benchmark unseen. Both steps are offline and take seconds.
+echo "==> perfbench (go -C perfbench vet/test)"
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo "==> serve smoke (scripts/serve_smoke.sh)"
 sh scripts/serve_smoke.sh

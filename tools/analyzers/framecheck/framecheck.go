@@ -1,8 +1,8 @@
 // Package framecheck implements this repository's exhaustiveness checks
-// over type-checked Go packages. Two idioms in the engine must stay in
-// lockstep with enumerations they do not syntactically mention, and both
-// have silently-wrong failure modes a unit test will not catch until the
-// wrong program is measured:
+// over type-checked Go packages. Three idioms must stay in lockstep with
+// enumerations they do not syntactically mention, and each has a
+// silently-wrong failure mode a unit test will not catch until the wrong
+// program is measured:
 //
 //   - dense rule tables: an array literal sized by a trailing iota bound
 //     (ruleNames [NumRules]string) silently yields "" for a rule added
@@ -10,18 +10,18 @@
 //   - frame switches: a type switch over a continuation-frame interface
 //     with a panicking default (the Measurer.Frame cost switches) asserts
 //     exhaustiveness at runtime only — a new frame kind panics mid-run;
-//   - opcode switches: an expression switch over a dense integer
-//     enumeration (the compiled backend's opcode dispatch) with a
-//     panicking default likewise asserts exhaustiveness at runtime only —
-//     an opcode added without a dispatch arm panics on first execution.
+//   - enum switches: an expression switch over a dense integer
+//     enumeration (a Rule, or any kind or opcode enum written the same
+//     way) with a panicking default likewise asserts exhaustiveness at
+//     runtime only — a value added without an arm panics on first use.
 //
 // The checks are structural, not name-based: any keyed array literal whose
 // length is a named constant must cover every index below the bound, any
 // panic-default type switch over an interface must list every concrete
 // implementation found in the interface's defining package, and any
 // panic-default expression switch over a dense enum (constants 0..N-1
-// plus a single count bound at N, the NumRules/NumOps idiom) must list a
-// case for every value below the bound.
+// plus a single count bound at N, the NumRules idiom) must list a case
+// for every value below the bound.
 package framecheck
 
 import (
@@ -220,7 +220,7 @@ func switchedExpr(sw *ast.TypeSwitchStmt) ast.Expr {
 // checkOpSwitch enforces exhaustiveness on expression switches that assert
 // it: a panicking default over a dense integer enumeration says "every
 // other value is dispatched above". The enumeration is recognized by the
-// NumRules/NumOps idiom — a named integer type whose constants in its
+// NumRules idiom — a named integer type whose constants in its
 // defining package take exactly the values 0..N, with a single constant at
 // the top value N acting as the count bound — and the switch must then
 // have a case for every value below the bound.
