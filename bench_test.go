@@ -288,16 +288,20 @@ func BenchmarkEventStamping(b *testing.B) {
 // collector's own reachability walk — which both meters pay alike —
 // amortizes away and the meters' costs dominate. The "delta" sub-bench must
 // run at least 3x faster than "full" (the ratio widens with the list).
+// "delta+linked" adds the Figure 8 account on the same run. There is no
+// "full+linked": the oracle's linked walk of the 4000-cell store on every
+// transition costs more than its flat walk, and the flat-only "full" run
+// already takes seconds.
 func BenchmarkMeterFullVsDelta(b *testing.B) {
 	const program = `
 (define (build k acc) (if (zero? k) acc (build (- k 1) (cons k acc))))
 (define big (build 4000 0))
 (define (f m) (if (zero? m) 0 (f (- m 1))))`
-	run := func(b *testing.B, meter func() space.Meter) {
+	run := func(b *testing.B, flatOnly bool, meter func() space.Meter) {
 		steps := 0
 		for i := 0; i < b.N; i++ {
 			res, err := core.RunApplication(program, "(quote 2000)", core.Options{
-				Variant: core.Tail, Measure: true, FlatOnly: true,
+				Variant: core.Tail, Measure: true, FlatOnly: flatOnly,
 				GCEvery: 50, CostModel: space.Fixnum, Meter: meter(),
 			})
 			if err != nil || res.Err != nil {
@@ -308,10 +312,13 @@ func BenchmarkMeterFullVsDelta(b *testing.B) {
 		b.ReportMetric(float64(steps), "steps/run")
 	}
 	b.Run("full", func(b *testing.B) {
-		run(b, func() space.Meter { return space.NewFullMeter(space.Fixnum) })
+		run(b, true, func() space.Meter { return space.NewFullMeter(space.Fixnum) })
 	})
 	b.Run("delta", func(b *testing.B) {
-		run(b, func() space.Meter { return space.NewDeltaMeter(space.Fixnum) })
+		run(b, true, func() space.Meter { return space.NewDeltaMeter(space.Fixnum) })
+	})
+	b.Run("delta+linked", func(b *testing.B) {
+		run(b, false, func() space.Meter { return space.NewDeltaMeter(space.Fixnum) })
 	})
 }
 

@@ -38,8 +38,11 @@ type Options struct {
 	// Measure enables space accounting (it dominates run time; experiments
 	// need it, answer-only runs don't).
 	Measure bool
-	// FlatOnly skips the Figure 8 linked measurement, whose per-step cost is
-	// O(configuration); sweeps that only fit S_X set it.
+	// FlatOnly skips the Figure 8 linked measurement; sweeps that only fit
+	// S_X set it. The default DeltaMeter builds its linked account on the
+	// first Linked call and then pays O(references gained or lost) per
+	// step, so a flat-only run never builds it; under FullMeter the linked
+	// walk is O(configuration) per step.
 	FlatOnly bool
 	// CostModel selects the space cost model for measurement: space.Word
 	// (Figure 7/8 word counts, the default when nil), space.Fixnum

@@ -145,7 +145,7 @@ func TestCorpusSubsetOnSECD(t *testing.T) {
 		"callcc-product": true, "generator": true, // call/cc
 		"apply-spread": true, "fold-apply": true, // apply
 		"metacircular": true, "metacircular-tail-loop": true, // apply
-		"church": true, // procedure? on SECD closures
+		"church":          true,                          // procedure? on SECD closures
 		"contracted-loop": true, "contracted-leak": true, // contract monitors
 	}
 	ran := 0

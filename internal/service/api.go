@@ -66,8 +66,9 @@ type MeasureRequest struct {
 	// means word only. Each model is a distinct cache identity: the same
 	// program under two models is two cache entries.
 	CostModels []string `json:"costModels,omitempty"`
-	// FlatOnly skips the Figure 8 linked measurement (U_X), whose per-step
-	// cost is O(configuration).
+	// FlatOnly skips the Figure 8 linked measurement (U_X). The default
+	// meter keeps U_X by reference counting at O(references gained or lost)
+	// per step; a flat-only run skips even that and reports no U_X peaks.
 	FlatOnly bool   `json:"flatOnly,omitempty"`
 	MaxSteps int    `json:"maxSteps,omitempty"`
 	Order    string `json:"order,omitempty"`

@@ -9,6 +9,17 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
+# gofmt -l lists every file whose formatting differs from gofmt's, across
+# all three modules (perfbench/ and tools/analyzers/ included); any output
+# fails the gate.
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting (run gofmt -w):"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
