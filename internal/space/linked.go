@@ -25,6 +25,104 @@ type binding struct {
 	loc env.Location
 }
 
+// linkedRefs prices values and frames under Figure 8 and hands over the
+// references they hold: onEnv receives every closure or saved environment,
+// onCont every continuation an escape retains. The oracle's walk
+// (linkedWalker) and DeltaMeter's account (linkedAccount) both price through
+// it, so the two can never disagree on per-value or per-frame pricing.
+type linkedRefs struct {
+	md     CostModel
+	onEnv  func(env.Env)
+	onCont func(value.Cont)
+}
+
+// value is v's own linked charge, the one a store cell or the value register
+// pays: like Figure 7 but closures and escapes cost one word (their bindings
+// enter the global set and their retained frames the frame account), and
+// contracts pay for their components.
+func (r linkedRefs) value(v value.Value) Cost {
+	switch x := v.(type) {
+	case value.Closure:
+		r.onEnv(x.Env)
+		return Cost{Units: 1}
+	case value.Escape:
+		r.onCont(x.K)
+		return Cost{Units: 1}
+	case *value.ArrowContract:
+		c := Cost{Units: 1, Ptrs: 1 + len(x.Dom)}
+		for _, d := range x.Dom {
+			c = c.Add(r.value(d))
+		}
+		return c.Add(r.value(x.Cod))
+	case value.Guarded:
+		return Cost{Units: 1, Ptrs: 2}.Add(r.value(x.Proc)).Add(r.value(x.Ctc))
+	default:
+		return r.md.Value(v)
+	}
+}
+
+// frame is frame k's linked charge: its Figure 7 charge (CostModel.Frame)
+// without the |Dom ρ| bindings of its saved environment, which joins the
+// global set through onEnv instead. The values the frame holds are passed
+// through value for their references only; the frame already pays one
+// reference word for each. Every frame kind must be listed (framecheck
+// enforces it at vet time), so a new kind cannot keep its saved
+// environment's bindings by accident.
+func (r linkedRefs) frame(k value.Cont) Cost {
+	c := r.md.Frame(k)
+	switch x := k.(type) {
+	case value.Halt:
+	case *value.Select:
+		c = c.Sub(r.saved(x.Env))
+	case *value.Assign:
+		c = c.Sub(r.saved(x.Env))
+	case *value.Push:
+		c = c.Sub(r.saved(x.Env))
+		r.held(x.Done)
+	case *value.Call:
+		r.held(x.Args)
+	case *value.Return:
+		c = c.Sub(r.saved(x.Env))
+	case *value.ReturnStack:
+		c = c.Sub(r.saved(x.Env))
+	case *value.MonCtc:
+		c = c.Sub(r.saved(x.Env))
+	case *value.MonAttach:
+		r.value(x.Ctc)
+	case *value.MonDom:
+		r.value(x.G)
+		r.held(x.Args)
+	case *value.MonCod:
+		r.checks(x.Pend)
+	case *value.MonChk:
+		r.value(x.Val)
+		r.checks(x.Rest)
+	default:
+		panic(fmt.Sprintf("space: continuation frame %T has no Figure 8 references listed", k))
+	}
+	return c
+}
+
+// saved hands a frame's saved environment to onEnv and returns the bindings
+// Figure 7 charges the frame for it.
+func (r linkedRefs) saved(e env.Env) Cost {
+	r.onEnv(e)
+	return Cost{}.AddScaled(r.md.Binding(), e.Size())
+}
+
+func (r linkedRefs) held(vs []value.Value) {
+	for _, v := range vs {
+		r.value(v)
+	}
+}
+
+func (r linkedRefs) checks(ps []value.Pending) {
+	for _, p := range ps {
+		r.value(p.Ctc)
+		r.value(p.Src)
+	}
+}
+
 // linkedWalker accumulates the global binding set while measuring. The same
 // environment reaches addEnv many times per configuration (each frame's saved
 // ρ, every closure in the store and in Done lists), and distinct environments
@@ -34,21 +132,23 @@ type binding struct {
 // across different environments. Neither changes the resulting set — they
 // only elide duplicate inserts.
 type linkedWalker struct {
-	md       CostModel
+	refs     linkedRefs
 	bindings map[binding]struct{}
 	seenEnv  map[env.Env]bool
 	ribs     *env.RibSet
 	seenCont map[value.Cont]bool
+	pending  []value.Cont
 }
 
 func newLinkedWalker(md CostModel) *linkedWalker {
-	return &linkedWalker{
-		md:       md,
+	w := &linkedWalker{
 		bindings: make(map[binding]struct{}),
 		seenEnv:  make(map[env.Env]bool),
 		ribs:     env.NewRibSet(),
 		seenCont: make(map[value.Cont]bool),
 	}
+	w.refs = linkedRefs{md: md, onEnv: w.addEnv, onCont: w.push}
+	return w
 }
 
 func (w *linkedWalker) addEnv(e env.Env) {
@@ -61,117 +161,37 @@ func (w *linkedWalker) addEnv(e env.Env) {
 	})
 }
 
-// valueSpace is the linked space of a value: like Figure 7 but closures cost
-// one word (their bindings enter the global set) and escapes cost one word
-// plus the linked frame space of their continuation.
+func (w *linkedWalker) push(k value.Cont) { w.pending = append(w.pending, k) }
+
+// valueSpace is the linked space of a value: its own charge plus the frames
+// an escape in it retains that the walk has not charged yet.
 func (w *linkedWalker) valueSpace(v value.Value) Cost {
-	switch x := v.(type) {
-	case value.Closure:
-		w.addEnv(x.Env)
-		return Cost{Units: 1}
-	case value.Escape:
-		return Cost{Units: 1}.Add(w.contSpace(x.K))
-	case *value.ArrowContract:
-		c := Cost{Units: 1, Ptrs: 1 + len(x.Dom)}
-		for _, d := range x.Dom {
-			c = c.Add(w.valueSpace(d))
-		}
-		return c.Add(w.valueSpace(x.Cod))
-	case value.Guarded:
-		return Cost{Units: 1, Ptrs: 2}.Add(w.valueSpace(x.Proc)).Add(w.valueSpace(x.Ctc))
-	default:
-		return w.md.Value(v)
-	}
+	return w.refs.value(v).Add(w.frames())
 }
 
-// contSpace is the linked space of a continuation: Figure 8's frame costs,
-// with every saved environment folded into the global binding set. Shared
-// continuations (an escape captured twice, or an escape whose continuation
-// is a prefix of the live one) are counted once.
+// contSpace is the linked space of the frames of k the walk has not charged
+// yet. Shared continuations (an escape captured twice, or an escape whose
+// continuation is a prefix of the live one) are counted once.
 func (w *linkedWalker) contSpace(k value.Cont) Cost {
+	w.push(k)
+	return w.frames()
+}
+
+// frames charges every frame reachable from the pending stack once, on the
+// stack rather than by recursion through the escapes frames hold.
+func (w *linkedWalker) frames() Cost {
 	var total Cost
-	for k != nil {
-		if w.seenCont[k] {
-			return total
+	for len(w.pending) > 0 {
+		k := w.pending[len(w.pending)-1]
+		w.pending = w.pending[:len(w.pending)-1]
+		if k == nil || w.seenCont[k] {
+			continue
 		}
 		w.seenCont[k] = true
-		switch x := k.(type) {
-		case value.Halt:
-			return total.Add(Cost{Units: 1})
-		case *value.Select:
-			w.addEnv(x.Env)
-			total = total.Add(Cost{Units: 1})
-		case *value.Assign:
-			w.addEnv(x.Env)
-			total = total.Add(Cost{Units: 1})
-		case *value.Push:
-			w.addEnv(x.Env)
-			total = total.Add(Cost{Units: 1 + len(x.Rest), Ptrs: len(x.Done)})
-			for _, v := range x.Done {
-				total = total.Add(w.heldValueSpace(v))
-			}
-		case *value.Call:
-			total = total.Add(Cost{Units: 1, Ptrs: len(x.Args)})
-			for _, v := range x.Args {
-				total = total.Add(w.heldValueSpace(v))
-			}
-		case *value.Return:
-			w.addEnv(x.Env)
-			total = total.Add(Cost{Units: 1})
-		case *value.ReturnStack:
-			w.addEnv(x.Env)
-			total = total.Add(Cost{Units: 1})
-		case *value.MonCtc:
-			w.addEnv(x.Env)
-			total = total.Add(Cost{Units: 2})
-		case *value.MonAttach:
-			total = total.Add(Cost{Units: 1, Ptrs: 1}).Add(w.heldValueSpace(x.Ctc))
-		case *value.MonDom:
-			total = total.Add(Cost{Units: 2, Ptrs: 1 + len(x.Args)}).Add(w.heldValueSpace(x.G))
-			for _, v := range x.Args {
-				total = total.Add(w.heldValueSpace(v))
-			}
-		case *value.MonCod:
-			total = total.Add(Cost{Units: 1 + len(x.Pend), Ptrs: len(x.Pend)})
-			for _, p := range x.Pend {
-				total = total.Add(w.heldValueSpace(p.Ctc))
-				total = total.Add(w.heldValueSpace(p.Src))
-			}
-		case *value.MonChk:
-			total = total.Add(Cost{Units: 1 + len(x.Rest), Ptrs: 1 + len(x.Rest)}).Add(w.heldValueSpace(x.Val))
-			for _, p := range x.Rest {
-				total = total.Add(w.heldValueSpace(p.Ctc))
-				total = total.Add(w.heldValueSpace(p.Src))
-			}
-		default:
-			panic(fmt.Sprintf("space: unpriced continuation frame %T — every frame kind must be charged", k))
-		}
-		k = k.Next()
+		total = total.Add(w.refs.frame(k))
+		w.push(k.Next())
 	}
 	return total
-}
-
-// heldValueSpace records the bindings of a value held by reference (in a
-// continuation) and returns the extra space it retains: its reference word
-// is already charged by the frame's m+n term, but the frames an escape
-// retains occupy real space (counted once — seenCont dedups).
-func (w *linkedWalker) heldValueSpace(v value.Value) Cost {
-	switch x := v.(type) {
-	case value.Closure:
-		w.addEnv(x.Env)
-		return Cost{}
-	case value.Escape:
-		return w.contSpace(x.K)
-	case *value.ArrowContract:
-		var c Cost
-		for _, d := range x.Dom {
-			c = c.Add(w.heldValueSpace(d))
-		}
-		return c.Add(w.heldValueSpace(x.Cod))
-	case value.Guarded:
-		return w.heldValueSpace(x.Proc).Add(w.heldValueSpace(x.Ctc))
-	}
-	return Cost{}
 }
 
 // Linked computes the linked-environment space of a configuration

@@ -127,3 +127,15 @@ func TestDeltaMeterReattachResets(t *testing.T) {
 		t.Fatalf("double registration: %+v != %+v", got, want)
 	}
 }
+
+// TestDeltaMeterLinkedBeforeAttachPanics: the Figure 8 account is fed by the
+// attached store's hooks, so measuring before Attach is a usage error, not a
+// reason to fall back to the oracle's walk.
+func TestDeltaMeterLinkedBeforeAttachPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Linked before Attach must panic")
+		}
+	}()
+	NewDeltaMeter(Word).Linked(nil, env.Empty(), value.Halt{}, value.NewStore())
+}
