@@ -12,7 +12,8 @@
 //	-variant tail|gc|stack|evlis|free|sfs|naive|spaceff|mta   reference implementation
 //	-input EXPR     apply the program (a one-argument procedure) to EXPR
 //	-measure        report S_X and U_X space peaks (Figures 7 and 8)
-//	-fixnum         charge numbers a constant instead of 1+log2|z|
+//	-cost-model word|fixnum|log   space cost model (fixnum charges numbers
+//	                a constant instead of 1+log2|z|)
 //	-order l2r|r2l|random   argument evaluation order (the permutation π)
 //	-strict-stack   Z_stack deletes whole frames, sticking on danglers
 //	-gc-every K     apply the GC rule every K steps (default: every step
@@ -41,7 +42,6 @@ func main() {
 	expr := flag.String("e", "", "program text (instead of a file)")
 	input := flag.String("input", "", "apply the program to this input expression")
 	measure := flag.Bool("measure", false, "measure Figure 7/8 space peaks")
-	fixnum := flag.Bool("fixnum", false, "fixed-precision number costs (same as -cost-model fixnum)")
 	costModel := flag.String("cost-model", "", "space cost model: word|fixnum|log (default word)")
 	orderFlag := flag.String("order", "l2r", "argument order: l2r|r2l|random")
 	strictStack := flag.Bool("strict-stack", false, "Z_stack deletes whole frames (sticks on danglers)")
@@ -80,11 +80,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown order %q", *orderFlag))
 	}
-	modelName := *costModel
-	if modelName == "" && *fixnum {
-		modelName = "fixnum"
-	}
-	model, err := space.ModelByName(modelName)
+	model, err := space.ModelByName(*costModel)
 	if err != nil {
 		fatal(err)
 	}

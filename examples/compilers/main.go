@@ -28,13 +28,13 @@ func main() {
 	fmt.Printf("%8s %12s %12s\n", "n", "direct S", "CPS S")
 	for _, n := range []int{50, 200, 800} {
 		direct, err := tailspace.Run(loop(n), tailspace.Options{
-			Variant: tailspace.Tail, Measure: true, FixnumCosts: true,
+			Variant: tailspace.Tail, Measure: true, CostModel: "fixnum",
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		converted, err := tailspace.RunCPS(loop(n), tailspace.Options{
-			Variant: tailspace.Tail, Measure: true, FixnumCosts: true,
+			Variant: tailspace.Tail, Measure: true, CostModel: "fixnum",
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -46,9 +46,9 @@ func main() {
 		row := fmt.Sprintf("%8d", n)
 		for _, v := range []tailspace.Variant{tailspace.Tail, tailspace.GC, tailspace.Stack} {
 			res, err := tailspace.Apply(machine, fmt.Sprintf("(quote %d)", n), tailspace.Options{
-				Variant:     v,
-				Measure:     true,
-				FixnumCosts: true,
+				Variant:   v,
+				Measure:   true,
+				CostModel: "fixnum",
 			})
 			if err != nil {
 				log.Fatalf("[%s] %v", v, err)

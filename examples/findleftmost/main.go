@@ -36,9 +36,9 @@ func measure(build string, n int) int {
 (define (f n)
   (find-leftmost (lambda (x) (< x 0)) (build n) (lambda () -1)))`
 	res, err := tailspace.Apply(prog, fmt.Sprintf("(quote %d)", n), tailspace.Options{
-		Variant:     tailspace.Tail,
-		Measure:     true,
-		FixnumCosts: true,
+		Variant:   tailspace.Tail,
+		Measure:   true,
+		CostModel: "fixnum",
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -28,7 +28,7 @@ const probe = `
 func main() {
 	fmt.Println("Theorem 24 on the closure-capture program, n = 24:")
 	fmt.Printf("%8s %12s %12s\n", "machine", "S (flat)", "U (linked)")
-	m, err := tailspace.MeasureAll(probe, "(quote 24)", tailspace.Options{FixnumCosts: true})
+	m, err := tailspace.MeasureAll(probe, "(quote 24)", tailspace.Options{CostModel: "fixnum"})
 	if err != nil {
 		log.Fatal(err)
 	}

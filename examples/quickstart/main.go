@@ -28,9 +28,9 @@ func main() {
 	fmt.Println("\nS_tail of the countdown loop (Figure 5 machine):")
 	for _, n := range []int{10, 100, 1000} {
 		r, err := tailspace.Apply(loop, fmt.Sprintf("(quote %d)", n), tailspace.Options{
-			Variant:     tailspace.Tail,
-			Measure:     true,
-			FixnumCosts: true,
+			Variant:   tailspace.Tail,
+			Measure:   true,
+			CostModel: "fixnum",
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -43,9 +43,9 @@ func main() {
 	fmt.Println("\nS_gc of the same loop (Section 8 machine):")
 	for _, n := range []int{10, 100, 1000} {
 		r, err := tailspace.Apply(loop, fmt.Sprintf("(quote %d)", n), tailspace.Options{
-			Variant:     tailspace.GC,
-			Measure:     true,
-			FixnumCosts: true,
+			Variant:   tailspace.GC,
+			Measure:   true,
+			CostModel: "fixnum",
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -76,7 +76,7 @@ func TestContractedExamples(t *testing.T) {
 	}
 	peak := func(prog string, v Variant, n int) int {
 		res, err := Apply(prog, fmt.Sprintf("(quote %d)", n),
-			Options{Variant: v, Measure: true, FixnumCosts: true})
+			Options{Variant: v, Measure: true, CostModel: "fixnum"})
 		if err != nil {
 			t.Fatalf("[%s n=%d] %v", v, n, err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tailspace/internal/ast"
 	"tailspace/internal/env"
@@ -40,8 +41,6 @@ type Machine struct {
 	// lastRule tags the rule the most recent Step fired, for per-rule
 	// accounting and the observability event stream.
 	lastRule Rule
-	// occScratch is reused across stackReturn occurs-checks.
-	occScratch []env.Location
 }
 
 // NewMachine builds a machine over the given store.
@@ -341,9 +340,8 @@ func (m *Machine) applyProcedure(s State, op value.Value, args []value.Value, k 
 			cont = &value.Return{Env: s.Env, K: k}
 		case CallStackReturn:
 			m.lastRule = RuleApplyStack
-			del := make([]env.Location, len(locs))
-			copy(del, locs)
-			cont = &value.ReturnStack{Del: del, Env: s.Env, K: k}
+			// A shares locs with the body's rib; neither ever writes to it.
+			cont = &value.ReturnStack{Del: locs, Env: s.Env, K: k}
 		}
 		return EvalState(lam.Body, bodyEnv, cont), false, nil
 
@@ -409,71 +407,49 @@ func (m *Machine) applyProcedure(s State, op value.Value, args []value.Value, k 
 // locations — the paper's nondeterministic choice "A ⊆ {β1,...,βn}" resolved
 // so that the computation is not stuck. In strict mode A is the whole frame
 // and a return whose deletion would dangle sticks the machine.
+//
+// A deletion dangles when a location of A still occurs in the value
+// register or in a store cell outside A; those two are checked. The older
+// continuation k.K is not, because of an age invariant: A holds the
+// locations applyProcedure allocated just before it pushed this frame, and
+// k.K, with every value its frames hold, existed before that call. Frames
+// are immutable and locations are never reused, so nothing in k.K can
+// mention A (TestStackReturnAgeInvariant pins this over the corpus). The
+// frame's own saved environment is dead (never dereferenced), so it does not
+// block deletion either. A frame returned through a second time, by a
+// re-entered escape, finds A's cells already gone.
 func (m *Machine) stackReturn(s State, k *value.ReturnStack) (State, bool, error) {
-	dels := make(map[env.Location]bool, len(k.Del))
+	var live []env.Location
 	for _, l := range k.Del {
-		if _, live := m.store.Get(l); live {
-			dels[l] = true
+		if _, ok := m.store.Get(l); ok {
+			live = append(live, l)
 		}
 	}
-	if len(dels) > 0 {
-		// Occurrences outside the store: the value being returned and the
-		// live locations of the rest of the continuation. The frame's own
-		// saved environment is dead (never dereferenced), so it does not
-		// block deletion.
-		var outside []env.Location
-		outside = value.Locations(s.Val, outside)
-		outside = value.ContLocations(k.K, outside)
-
-		unsafe := make(map[env.Location]bool)
-		for _, l := range outside {
-			if dels[l] {
-				unsafe[l] = true
-			}
+	if len(live) == 0 {
+		return ValueState(s.Val, k.Env, k.K), false, nil
+	}
+	held := m.store.OccursIn(live)
+	for _, ref := range value.Locations(s.Val, nil) {
+		if i := slices.Index(live, ref); i >= 0 {
+			held[i] = true
 		}
-		if len(unsafe) < len(dels) {
-			// Occurrences through the remaining store, checked against the
-			// still-candidate deletions.
-			candidates := make(map[env.Location]bool, len(dels))
-			for l := range dels {
-				if !unsafe[l] {
-					candidates[l] = true
-				}
-			}
-			m.markStoreOccurrences(candidates, dels, unsafe)
+	}
+	kept := 0
+	for _, h := range held {
+		if h {
+			kept++
 		}
-
-		if len(unsafe) > 0 && m.stackStrict {
-			return s, false, m.stuck("%s: %d of %d frame locations still referenced",
-				danglingPrefix, len(unsafe), len(dels))
-		}
-		for l := range dels {
-			if !unsafe[l] {
-				m.store.Delete(l)
-			}
+	}
+	if kept > 0 && m.stackStrict {
+		return s, false, m.stuck("%s: %d of %d frame locations still referenced",
+			danglingPrefix, kept, len(live))
+	}
+	for i, l := range live {
+		if !held[i] {
+			m.store.Delete(l)
 		}
 	}
 	return ValueState(s.Val, k.Env, k.K), false, nil
-}
-
-// markStoreOccurrences walks the remaining store (excluding the deletion
-// candidates themselves) and moves any candidate that occurs within it into
-// unsafe.
-func (m *Machine) markStoreOccurrences(candidates, dels map[env.Location]bool, unsafe map[env.Location]bool) {
-	scratch := m.occScratch
-	m.store.Each(func(l env.Location, v value.Value) {
-		if dels[l] {
-			return
-		}
-		scratch = value.Locations(v, scratch[:0])
-		for _, ref := range scratch {
-			if candidates[ref] {
-				unsafe[ref] = true
-				delete(candidates, ref)
-			}
-		}
-	})
-	m.occScratch = scratch[:0]
 }
 
 // evalOrder chooses the permutation π for a call with n subexpressions.

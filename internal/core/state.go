@@ -38,13 +38,8 @@ func (s State) IsFinal() bool {
 	return halt && s.Env.IsEmpty()
 }
 
-// Roots returns the locations mentioned by v/E, ρ, and κ — the roots the
-// garbage collection rule traces from.
-func (s State) Roots() []env.Location {
-	return s.AppendRoots(nil)
-}
-
-// AppendRoots appends the state's GC roots to out; the append contract lets
+// AppendRoots appends the locations mentioned by v/E, ρ, and κ — the roots
+// the garbage collection rule traces from — to out; the append contract lets
 // the runner reuse one scratch buffer across the per-transition collections
 // of a space-efficient computation.
 func (s State) AppendRoots(out []env.Location) []env.Location {

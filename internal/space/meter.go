@@ -61,7 +61,10 @@ func (f *FullMeter) Linked(val value.Value, rho env.Env, k value.Cont, st *value
 // deltaMemoLimit bounds the continuation memo. Continuation frames are
 // immutable, so entries never go stale — the limit only bounds memory on
 // very long runs. When it trips, the memo is rebuilt lazily along the live
-// chain; peaks are unaffected.
+// chain; peaks are unaffected. A rebuilt memo may grow to twice its rebuilt
+// size, and never less than the limit, before the next reset, so a live
+// chain deeper than the limit costs amortized O(1) per push instead of a
+// re-walk on every push.
 const deltaMemoLimit = 1 << 17
 
 // DeltaMeter maintains the Figure 7 and Figure 8 accounts incrementally.
@@ -98,6 +101,7 @@ type DeltaMeter struct {
 	st       *value.Store
 	total    Cost // Σ over α ∈ σ of (Cell + space(σ(α))), maintained via hooks
 	contMemo map[value.Cont]Cost
+	memoCap  int // contMemo is reset once it holds more entries than this
 	scratch  []value.Cont
 	linked   *linkedAccount // nil until the first Linked call
 }
@@ -120,6 +124,7 @@ func (d *DeltaMeter) Attach(st *value.Store) {
 	}
 	d.st = st
 	d.contMemo = make(map[value.Cont]Cost)
+	d.memoCap = deltaMemoLimit
 	d.total = Cost{}
 	d.linked = nil
 	cell := d.M.model().Cell()
@@ -188,13 +193,14 @@ func (d *DeltaMeter) Linked(val value.Value, rho env.Env, k value.Cont, st *valu
 }
 
 // valueSpace prices a value exactly as Measurer.Value, except that escape
-// procedures read the continuation memo instead of walking their retained
-// frames.
+// procedures, guarded or not, read the continuation memo instead of walking
+// their retained frames.
 func (d *DeltaMeter) valueSpace(v value.Value) Cost {
-	if esc, ok := v.(value.Escape); ok {
-		return Cost{Units: 1}.Add(d.contSpace(esc.K))
+	c := d.M.model().Value(v)
+	if esc, ok := heldEscape(v); ok {
+		c = c.Add(d.contSpace(esc.K))
 	}
-	return d.M.Value(v)
+	return c
 }
 
 // contSpace returns Figure 7's space(κ) from the memo, computing and caching
@@ -207,7 +213,8 @@ func (d *DeltaMeter) contSpace(k value.Cont) Cost {
 	if total, ok := d.contMemo[k]; ok {
 		return total
 	}
-	if len(d.contMemo) > deltaMemoLimit {
+	rebuilt := len(d.contMemo) > d.memoCap
+	if rebuilt {
 		d.contMemo = make(map[value.Cont]Cost)
 	}
 	stack := d.scratch[:0]
@@ -220,16 +227,14 @@ func (d *DeltaMeter) contSpace(k value.Cont) Cost {
 		stack = append(stack, cur)
 	}
 	for i := len(stack) - 1; i >= 0; i-- {
-		base = base.Add(d.frameSpace(stack[i]))
+		// Measurer.Frame is the oracle's per-frame charge too, so the two
+		// meters cannot disagree on a frame.
+		base = base.Add(d.M.Frame(stack[i]))
 		d.contMemo[stack[i]] = base
 	}
 	d.scratch = stack[:0]
+	if rebuilt {
+		d.memoCap = max(2*len(d.contMemo), deltaMemoLimit)
+	}
 	return base
-}
-
-// frameSpace is the charge of a single continuation frame, shared with the
-// oracle through Measurer.Frame so the two meters can never disagree on
-// per-frame pricing.
-func (d *DeltaMeter) frameSpace(k value.Cont) Cost {
-	return d.M.Frame(k)
 }

@@ -1,6 +1,7 @@
 package space
 
 import (
+	"fmt"
 	"testing"
 
 	"tailspace/internal/ast"
@@ -97,6 +98,43 @@ func TestDeltaMeterContMemoSurvivesPruning(t *testing.T) {
 	}
 	if len(delta.contMemo) > 70 {
 		t.Fatalf("memo was not pruned: %d entries", len(delta.contMemo))
+	}
+}
+
+// countingModel wraps a cost model with a frame counter that panics once
+// more than budget frames have been priced.
+type countingModel struct {
+	CostModel
+	frames, budget int
+}
+
+func (c *countingModel) Frame(k value.Cont) Cost {
+	c.frames++
+	if c.frames > c.budget {
+		panic(fmt.Sprintf("priced %d frames, budget %d", c.frames, c.budget))
+	}
+	return c.CostModel.Frame(k)
+}
+
+// TestDeltaMeterMemoResetIsAmortized pushes and observes a chain deeper than
+// deltaMemoLimit. Each frame is priced when it is pushed and again at most
+// once when the memo resets, so the whole run prices O(frames) frames; a
+// memo that reset on every push past the limit would re-walk the chain
+// each time and blow the budget within a few pushes.
+func TestDeltaMeterMemoResetIsAmortized(t *testing.T) {
+	const frames = deltaMemoLimit + 10_000
+	model := &countingModel{CostModel: Fixnum, budget: 3 * frames}
+	st := value.NewStore()
+	delta := NewDeltaMeter(model)
+	delta.Attach(st)
+	rho := env.Empty()
+	var k value.Cont = value.Halt{}
+	for i := 0; i < frames; i++ {
+		k = &value.Return{Env: rho, K: k}
+		delta.Flat(nil, rho, k, st)
+	}
+	if got, want := delta.contSpace(k), (Measurer{Model: Fixnum}).Cont(k); got != want {
+		t.Fatalf("memoized total %+v, walk %+v", got, want)
 	}
 }
 

@@ -41,18 +41,27 @@ func (m Measurer) Num(n value.Num) Cost { return m.model().Num(n) }
 // Value is Figure 7's space(v). Unlike CostModel.Value, an escape procedure
 // here includes the continuation it retains, matching the figure.
 func (m Measurer) Value(v value.Value) Cost {
-	md := m.model()
-	if esc, ok := v.(value.Escape); ok {
-		return md.Value(esc).Add(m.Cont(esc.K))
+	c := m.model().Value(v)
+	if esc, ok := heldEscape(v); ok {
+		c = c.Add(m.Cont(esc.K))
 	}
-	if g, ok := v.(value.Guarded); ok {
-		// The model prices the wrapper and its wrapped procedure's shell;
-		// an escape underneath still retains its continuation.
-		if esc, ok := g.Proc.(value.Escape); ok {
-			return md.Value(g).Add(m.Cont(esc.K))
+	return c
+}
+
+// heldEscape returns the escape procedure v is, or wraps under any number
+// of guards. The model prices each guard's shell and the escape's own word;
+// the continuation the escape retains is the caller's to add.
+func heldEscape(v value.Value) (value.Escape, bool) {
+	for {
+		switch x := v.(type) {
+		case value.Escape:
+			return x, true
+		case value.Guarded:
+			v = x.Proc
+		default:
+			return value.Escape{}, false
 		}
 	}
-	return md.Value(v)
 }
 
 // Cont is Figure 7's space(κ): the sum of the per-frame charges.

@@ -195,6 +195,37 @@ func TestEscapeCostIncludesContinuation(t *testing.T) {
 	}
 }
 
+// TestGuardedEscapeKeepsContinuation wraps an escape that retains a
+// 10-frame continuation in one guard and then in two. Figure 7 charges the
+// retained continuation however deep the guard chain is, so the second
+// guard adds exactly its own shell: a header word and two references. The
+// DeltaMeter's memoized pricing must agree.
+func TestGuardedEscapeKeepsContinuation(t *testing.T) {
+	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{1})
+	var k value.Cont = value.Halt{}
+	for i := 0; i < 9; i++ {
+		k = &value.Return{Env: rho, K: k}
+	}
+	ctc := &value.ArrowContract{Dom: []value.Value{value.Bool(true)}, Cod: value.Bool(true)}
+	esc := value.Escape{K: k}
+	once := value.Guarded{Proc: esc, Ctc: ctc}
+	twice := value.Guarded{Proc: once, Ctc: ctc}
+	shell := Cost{Units: 1, Ptrs: 2}
+	if got, want := word.Value(once), shell.Add(word.Value(esc)); got != want {
+		t.Fatalf("one guard = %+v, want %+v", got, want)
+	}
+	if got, want := word.Value(twice), shell.Add(word.Value(once)); got != want {
+		t.Fatalf("two guards = %+v, want %+v (one guard %+v)", got, want, word.Value(once))
+	}
+	delta := NewDeltaMeter(Word)
+	delta.Attach(value.NewStore())
+	for _, v := range []value.Value{esc, once, twice} {
+		if got, want := delta.valueSpace(v), word.Value(v); got != want {
+			t.Fatalf("delta %T = %+v, oracle %+v", v, got, want)
+		}
+	}
+}
+
 func TestEscapeCostLinked(t *testing.T) {
 	// Linked: the escape costs its shell plus its retained frames, with the
 	// saved environment folded into the global binding set instead of being

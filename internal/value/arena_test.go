@@ -3,6 +3,7 @@ package value
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -66,8 +67,8 @@ func TestArenaNeverReusesLocations(t *testing.T) {
 // TestArenaMatchesMapStoreOnRandomOps drives an identical random operation
 // sequence through the arena and the map reference and requires identical
 // observations after every operation: Get on every location ever allocated,
-// Size, sorted Locations, Set/Delete results, and Collect counts from shared
-// root sets.
+// Size, sorted Locations, Set/Delete results, Collect counts from shared
+// root sets, and OccursIn against a brute-force oracle.
 func TestArenaMatchesMapStoreOnRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	arena, ref := NewStore(), NewMapStore()
@@ -139,18 +140,42 @@ func TestArenaMatchesMapStoreOnRandomOps(t *testing.T) {
 				t.Fatalf("step %d: Collect arena=%d map=%d", step, ca, cr)
 			}
 		case 9: // occurs-check over a random candidate set
-			dels := map[env.Location]bool{}
+			var cands []env.Location
 			for _, l := range ever {
 				if rng.Intn(4) == 0 {
-					dels[l] = true
+					cands = append(cands, l)
 				}
 			}
-			if oa, or := arena.OccursIn(dels), ref.OccursIn(dels); oa != or {
-				t.Fatalf("step %d: OccursIn arena=%v map=%v", step, oa, or)
+			want := occursOracle(ref, cands)
+			ha, hr := arena.OccursIn(cands), ref.OccursIn(cands)
+			for i, c := range cands {
+				if ha[i] != want[i] || hr[i] != want[i] {
+					t.Fatalf("step %d: OccursIn(%d) arena=%v map=%v want %v", step, c, ha[i], hr[i], want[i])
+				}
 			}
 		}
 		check(step)
 	}
+}
+
+// occursOracle answers OccursIn from Get and Locations alone: cands[i] is
+// held when some live cell outside cands mentions it.
+func occursOracle(s *Store, cands []env.Location) []bool {
+	held := make([]bool, len(cands))
+	for _, l := range s.Locations() {
+		if slices.Contains(cands, l) {
+			continue
+		}
+		v, _ := s.Get(l)
+		for _, ref := range Locations(v, nil) {
+			for i, c := range cands {
+				if c == ref {
+					held[i] = true
+				}
+			}
+		}
+	}
+	return held
 }
 
 // TestCollectSteadyStateAllocsFree pins the epoch-mark collector's headline

@@ -2,6 +2,7 @@ package value
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"tailspace/internal/env"
@@ -392,46 +393,26 @@ func (s *Store) Collect(roots []env.Location) int {
 	return collected
 }
 
-// OccursIn reports whether any location in dels occurs within the remaining
-// store (excluding the candidate locations themselves), i.e. whether the
-// Z_stack deletion would create a dangling pointer through the store. The
-// per-value scratch is reused across calls.
-func (s *Store) OccursIn(dels map[env.Location]bool) bool {
+// OccursIn reports which candidates occur within a live cell outside the
+// candidate set: held[i] is true when cands[i] does. This is the store half
+// of Z_stack's dangling-pointer check. A candidate mentioned only by other
+// candidates does not count, since a frame deletes its cells together.
+// Membership is a linear search, sized for the few argument cells one frame
+// holds. The per-value scratch is reused across calls.
+func (s *Store) OccursIn(cands []env.Location) (held []bool) {
+	held = make([]bool, len(cands))
 	scratch := s.occBuf[:0]
-	hit := false
-	if s.m != nil {
-		for l, v := range s.m {
-			if dels[l] {
-				continue
-			}
-			scratch = Locations(v, scratch[:0])
-			for _, ref := range scratch {
-				if dels[ref] {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				break
+	s.Each(func(l env.Location, v Value) {
+		if slices.Contains(cands, l) {
+			return
+		}
+		scratch = Locations(v, scratch[:0])
+		for _, ref := range scratch {
+			if i := slices.Index(cands, ref); i >= 0 {
+				held[i] = true
 			}
 		}
-	} else {
-		for _, l := range s.live {
-			if dels[l] {
-				continue
-			}
-			scratch = Locations(s.vals[l], scratch[:0])
-			for _, ref := range scratch {
-				if dels[ref] {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				break
-			}
-		}
-	}
+	})
 	s.occBuf = scratch[:0]
-	return hit
+	return held
 }

@@ -157,12 +157,17 @@ func TestOccursIn(t *testing.T) {
 	s := NewStore()
 	target := s.Alloc(NewNum(1))
 	s.Alloc(Pair{CarLoc: target, CdrLoc: target})
-	if !s.OccursIn(map[env.Location]bool{target: true}) {
-		t.Fatal("target occurs in the pair")
-	}
 	lonely := s.Alloc(NewNum(2))
-	if s.OccursIn(map[env.Location]bool{lonely: true}) {
-		t.Fatal("lonely occurs nowhere")
+	// inner is mentioned only by outer, and both are candidates: deleting
+	// them together leaves nothing dangling.
+	inner := s.Alloc(NewNum(3))
+	outer := s.Alloc(Pair{CarLoc: inner, CdrLoc: inner})
+	held := s.OccursIn([]env.Location{target, lonely, inner, outer})
+	want := []bool{true, false, false, false}
+	for i := range want {
+		if held[i] != want[i] {
+			t.Fatalf("OccursIn = %v, want %v", held, want)
+		}
 	}
 }
 

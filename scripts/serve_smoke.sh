@@ -49,14 +49,20 @@ echo "    $URL (debug $DEBUG_URL)"
 
 CTL="$SMOKE_DIR/spacectl -addr $URL"
 
+# Every reply is written to its file before it is grepped. Piping through
+# tee into grep -q would let grep exit at its first match and tee die of
+# SIGPIPE, cutting the file short before the byte-identical checks read it.
+
 echo "==> /healthz (status, build version, uptime)"
-$CTL health | tee "$SMOKE_DIR/health.json" | grep -q '"ok"'
+$CTL health > "$SMOKE_DIR/health.json"
+grep -q '"ok"' "$SMOKE_DIR/health.json"
 grep -q '"version"' "$SMOKE_DIR/health.json"
 grep -q '"uptimeSeconds"' "$SMOKE_DIR/health.json"
 
 echo "==> /v1/measure (cold)"
 $CTL -input '(quote 10)' -cost-model fixnum measure "$SMOKE_DIR/countdown.scm" \
-    | tee "$SMOKE_DIR/measure1.txt" | grep -q 'sfs'
+    > "$SMOKE_DIR/measure1.txt"
+grep -q 'sfs' "$SMOKE_DIR/measure1.txt"
 
 echo "==> /v1/measure (repeat; must hit the cache)"
 $CTL -input '(quote 10)' -cost-model fixnum measure "$SMOKE_DIR/countdown.scm" \
@@ -71,7 +77,8 @@ echo "    cache.hits = $HITS"
 echo "==> /v1/measure -cost-model log (cold; a distinct cache identity)"
 MISSES_BEFORE=$($CTL metrics | sed -n 's/^cache\.misses  *//p')
 $CTL -input '(quote 10)' -cost-model log measure "$SMOKE_DIR/countdown.scm" \
-    | tee "$SMOKE_DIR/measure3.txt" | grep -q 'log'
+    > "$SMOKE_DIR/measure3.txt"
+grep -q 'log' "$SMOKE_DIR/measure3.txt"
 MISSES_AFTER=$($CTL metrics | sed -n 's/^cache\.misses  *//p')
 [ "$MISSES_AFTER" -gt "$MISSES_BEFORE" ] || {
     echo "log-model measure should miss the cache (misses $MISSES_BEFORE -> $MISSES_AFTER)"; exit 1; }

@@ -86,12 +86,10 @@ type Options struct {
 	// Measure enables the Figure 7/8 space accounting (slower; required for
 	// SpaceFlat/SpaceLinked).
 	Measure bool
-	// FixnumCosts charges every number a constant instead of 1+log2|z|.
-	// It is shorthand for CostModel: "fixnum".
-	FixnumCosts bool
 	// CostModel selects the space cost model by name: "word" (Figure 7/8
-	// word counts, the default), "fixnum" (fixed-precision numbers), or
-	// "log" (logarithmic pointer costs). When set it wins over FixnumCosts.
+	// word counts, the default), "fixnum" (fixed-precision numbers: every
+	// number costs a constant instead of 1+log2|z|), or "log" (logarithmic
+	// pointer costs).
 	CostModel string
 	// MaxSteps bounds the run; 0 means the default (5 million transitions).
 	MaxSteps int
@@ -142,11 +140,7 @@ func (o Options) toCore() (core.Options, error) {
 			return core.Options{}, fmt.Errorf("tailspace: unknown variant %q", o.Variant)
 		}
 	}
-	name := o.CostModel
-	if name == "" && o.FixnumCosts {
-		name = "fixnum"
-	}
-	model, err := space.ModelByName(name)
+	model, err := space.ModelByName(o.CostModel)
 	if err != nil {
 		return core.Options{}, fmt.Errorf("tailspace: %w", err)
 	}
@@ -358,7 +352,7 @@ func RunSECD(src string, tailRecursive bool) (SECDResult, error) {
 // mostly as an executable sanity check and an example of the API.
 func IsProperlyTailRecursive(v Variant) (bool, error) {
 	const loop = "(define (f n) (if (zero? n) 0 (f (- n 1))))"
-	opts := Options{Variant: v, Measure: true, FixnumCosts: true}
+	opts := Options{Variant: v, Measure: true, CostModel: "fixnum"}
 	small, err := Apply(loop, "(quote 10)", opts)
 	if err != nil {
 		return false, err

@@ -61,7 +61,7 @@ func TestApplyMeasuresSpace(t *testing.T) {
 
 func TestMeasureAllOrdering(t *testing.T) {
 	m, err := MeasureAll("(define (f n) (if (zero? n) 0 (f (- n 1))))", "(quote 40)",
-		Options{FixnumCosts: true})
+		Options{CostModel: "fixnum"})
 	if err != nil {
 		t.Fatal(err)
 	}
