@@ -19,11 +19,14 @@ vet:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Archive today's benchmark numbers as JSON (BENCH_YYYY-MM-DD.json) for
-# trend tracking; cmd/benchjson parses the go test -bench text output.
+# Archive today's benchmark numbers as JSON for trend tracking, under the
+# first free name of BENCH_YYYY-MM-DD.json, BENCH_YYYY-MM-DD.2.json, ...,
+# so a second run on one day never overwrites the first; cmd/benchjson
+# parses the go test -bench text output.
 bench-json:
-	$(GO) test -bench . -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson > BENCH_$$(date +%Y-%m-%d).json
-	@echo wrote BENCH_$$(date +%Y-%m-%d).json
+	@day=$$(date +%Y-%m-%d); out=BENCH_$$day.json; n=2; \
+	while [ -e "$$out" ]; do out=BENCH_$$day.$$n.json; n=$$((n + 1)); done; \
+	$(GO) test -bench . -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson > "$$out" && echo "wrote $$out"
 
 # Gate: deterministic spacelab tables under the default word cost model
 # must be byte-identical to the committed TABLES_baseline.json.
@@ -40,8 +43,8 @@ classify-guard:
 contracts-guard:
 	sh scripts/contractsguard.sh
 
-# Run the tables guard (a gate), then re-run the benchmarks and diff them
-# against the committed baseline (BENCH_baseline.json); writes
+# Run the tables guard (a gate), then run the benchmarks of the parent
+# commit (HEAD^) and of this tree on this host and diff them; writes
 # benchdiff.txt. The timing diff gates at BENCH_FAIL_OVER percent
 # (default 35): a slowdown past the threshold on any benchmark present in
 # both reports fails the run. BENCH_FAIL_OVER=0 makes it report-only.

@@ -346,6 +346,25 @@ func BenchmarkMeasuredRun(b *testing.B) {
 	}
 }
 
+// BenchmarkDeepMeteredRecursion measures a 2,000-deep non-tail recursion with
+// both meters and the GC rule after every transition (Definition 21) on
+// Z_tail and Z_gc. Every collection walks the whole continuation, and every
+// frame's saved environment ends in ρ0, so the run prices root building. The
+// inner f's parameter shadows the outer n, so each saved chain is shadowed.
+func BenchmarkDeepMeteredRecursion(b *testing.B) {
+	const prog = "(lambda (n) (define (f n) (if (= n 0) 0 (+ 1 (f (- n 1))))) (f n))"
+	for _, v := range []core.Variant{core.Tail, core.GC} {
+		b.Run(v.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := core.RunApplication(prog, "(quote 2000)", core.Options{Variant: v, Measure: true})
+				if err != nil || res.Err != nil || res.Answer != "2000" {
+					b.Fatalf("%v %v %q", err, res.Err, res.Answer)
+				}
+			}
+		})
+	}
+}
+
 func atof(s string) float64 {
 	var f float64
 	fmt.Sscanf(s, "%f", &f)
@@ -365,35 +384,36 @@ func expOf(s string) float64 {
 // stack are reused). "sweep" allocates 100 garbage cells per collection so
 // the swap-remove sweep and observerless delete path are timed too.
 func BenchmarkCollect(b *testing.B) {
-	build := func(n int) (*value.Store, []env.Location) {
+	// build returns the store and a value register holding the chain's head.
+	build := func(n int) (*value.Store, value.Value) {
 		st := value.NewStore()
 		prev := st.Alloc(value.Num{Int: big.NewInt(0)})
 		for i := 1; i < n; i++ {
 			prev = st.Alloc(value.Pair{CarLoc: prev, CdrLoc: prev})
 		}
-		return st, []env.Location{prev}
+		return st, value.Vector{ElemLocs: []env.Location{prev}}
 	}
 	b.Run("steady", func(b *testing.B) {
-		st, roots := build(2000)
-		st.Collect(roots)
+		st, root := build(2000)
+		st.Collect(root, env.Empty(), nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if st.Collect(roots) != 0 {
+			if st.Collect(root, env.Empty(), nil) != 0 {
 				b.Fatal("steady-state collect freed cells")
 			}
 		}
 	})
 	b.Run("sweep", func(b *testing.B) {
-		st, roots := build(2000)
-		st.Collect(roots)
+		st, root := build(2000)
+		st.Collect(root, env.Empty(), nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < 100; j++ {
 				st.Alloc(value.Bool(true))
 			}
-			if st.Collect(roots) != 100 {
+			if st.Collect(root, env.Empty(), nil) != 100 {
 				b.Fatal("sweep missed garbage")
 			}
 		}

@@ -429,7 +429,7 @@ func (m *Machine) stackReturn(s State, k *value.ReturnStack) (State, bool, error
 		return ValueState(s.Val, k.Env, k.K), false, nil
 	}
 	held := m.store.OccursIn(live)
-	for _, ref := range value.Locations(s.Val, nil) {
+	for _, ref := range value.Locations(s.Val, env.Unstamped, nil) {
 		if i := slices.Index(live, ref); i >= 0 {
 			held[i] = true
 		}

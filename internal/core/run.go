@@ -196,10 +196,6 @@ type Runner struct {
 	lastExpr ast.Expr
 	nodeIDs  map[ast.Expr]int
 	tap      *allocTap
-	// rootsBuf is the scratch buffer AppendRoots fills before each
-	// collection; space-efficient computations collect every transition, so
-	// rebuilding it from nil would dominate the allocation profile.
-	rootsBuf []env.Location
 	// gcSnap witnesses the configuration at the end of the last collection,
 	// for the root-delta fast path (see collect).
 	gcSnap gcSnapshot
@@ -382,8 +378,7 @@ func (r *Runner) collect(s State, st *value.Store) int {
 		st.Mutations() == snap.mut {
 		return 0
 	}
-	r.rootsBuf = s.AppendRoots(r.rootsBuf[:0])
-	collected := st.Collect(r.rootsBuf)
+	collected := st.Collect(s.Val, s.Env, s.K)
 	*snap = gcSnapshot{
 		k:        s.K,
 		env:      s.Env,

@@ -75,7 +75,7 @@ func checkStackAges(t *testing.T, src string, order ArgOrder, strict bool, every
 			returns++
 			if returns%every == 0 {
 				checked++
-				buf = value.ContLocations(k.K, buf[:0])
+				buf = value.ContLocations(k.K, env.Unstamped, buf[:0])
 				for _, l := range buf {
 					if slices.Contains(k.Del, l) {
 						t.Fatalf("order=%d strict=%v step %d: location %d of A = %v occurs in the older continuation",

@@ -38,18 +38,6 @@ func (s State) IsFinal() bool {
 	return halt && s.Env.IsEmpty()
 }
 
-// AppendRoots appends the locations mentioned by v/E, ρ, and κ — the roots
-// the garbage collection rule traces from — to out; the append contract lets
-// the runner reuse one scratch buffer across the per-transition collections
-// of a space-efficient computation.
-func (s State) AppendRoots(out []env.Location) []env.Location {
-	if s.Val != nil {
-		out = value.Locations(s.Val, out)
-	}
-	out = s.Env.AppendLocations(out)
-	return value.ContLocations(s.K, out)
-}
-
 func (s State) String() string {
 	if s.Expr != nil {
 		return fmt.Sprintf("(eval %s |ρ|=%d depth=%d)", s.Expr, s.Env.Size(), value.Depth(s.K))

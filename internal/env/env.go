@@ -19,7 +19,11 @@
 // to the semantics' finite-map reading.
 package env
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"sync/atomic"
+)
 
 // Location is a store address α.
 type Location int
@@ -35,10 +39,35 @@ type rib struct {
 	// every environment of every configuration on every transition, so the
 	// charge must stay O(1) even though the backing representation is linked.
 	size int
-	// entries counts the chain's total rib entries, shadowed included; it
-	// bounds iteration scratch.
+	// entries counts the chain's total rib entries, shadowed included.
+	// entries − size is the number of hidden entries, and it never shrinks
+	// from parent to child, so every rib above a shadow-free rib is
+	// shadow-free too.
 	entries int
+	// mark is the last epoch that delivered this rib (see Epoch). On a
+	// shadow-free rib it means the rib and its whole upward chain were
+	// delivered; on a shadowed rib, that the chain's visible bindings were.
+	// A rib is either kind for its whole life, so one field serves both.
+	mark Epoch
 }
+
+// Epoch names one traversal that delivers each rib at most once, such as
+// one garbage collection: AppendLocations under an epoch stamps the ribs it
+// delivers and stops at a rib already stamped with that epoch, since every
+// location visible from there has reached the same traversal. NewEpoch
+// draws from one process-wide counter, so a rib stamped by one traversal
+// never looks delivered to another, whichever store or goroutine ran it.
+type Epoch uint64
+
+// Unstamped is the zero Epoch. A walk under it stamps nothing and delivers
+// every visible binding of every environment it is given: plain, duplicate
+// preserving enumeration.
+const Unstamped Epoch = 0
+
+var epochs atomic.Uint64
+
+// NewEpoch returns an epoch that no earlier call returned.
+func NewEpoch() Epoch { return Epoch(epochs.Add(1)) }
 
 // Env is a finite map from identifiers to locations. The zero value is the
 // empty environment. Env is comparable; two equal Envs share one rib chain
@@ -225,11 +254,64 @@ func (e Env) Domain() []string {
 	return out
 }
 
-// AppendLocations appends Ran ρ (one location per identifier in Dom ρ, with
-// duplicate locations preserved) to out; these are GC roots. The append
-// contract lets callers reuse a scratch buffer across calls.
-func (e Env) AppendLocations(out []Location) []Location {
-	e.EachSym(func(_ Symbol, loc Location) { out = append(out, loc) })
+// AppendLocations appends Ran ρ (one location per identifier in Dom ρ) to
+// out; these are GC roots. The append contract lets callers reuse a scratch
+// buffer across calls.
+//
+// Under Unstamped every call appends all of Ran ρ. Under any other epoch,
+// across all the calls made under it, the appended locations are exactly the
+// union of the environments' Ran ρ, and a rib one call delivered is not
+// walked again: an environment costs O(1) plus the ribs no earlier call
+// delivered. A
+// shadow-free chain (entries == size) appends and stamps each rib and stops
+// at the first stamped one. A shadowed chain stamps its head, appends only
+// its visible entries, and stops at any stamped rib; once it has skipped all
+// entries − size hidden entries, the rest of the chain is shadow-free and
+// the plain walk takes over. The ribs it passed below the head before the
+// hand-over stay unstamped, because some of what they bind was hidden here.
+func (e Env) AppendLocations(ep Epoch, out []Location) []Location {
+	r := e.r
+	if r == nil {
+		return out
+	}
+	if ep == Unstamped {
+		e.EachSym(func(_ Symbol, loc Location) { out = append(out, loc) })
+		return out
+	}
+	if r.mark == ep {
+		return out
+	}
+	if hidden := r.entries - r.size; hidden > 0 {
+		r.mark = ep
+		// An entry hides an older one only if its rib is shadowed, so only
+		// those ribs' identifiers enter the scratch, which stays on the
+		// stack up to 64 of them.
+		var buf [64]Symbol
+		seen := buf[:0]
+		for hidden > 0 {
+			shadowed := r.entries != r.size
+			for i := len(r.syms) - 1; i >= 0; i-- {
+				s := r.syms[i]
+				if hidden > 0 && slices.Contains(seen, s) {
+					hidden--
+					continue
+				}
+				if shadowed {
+					seen = append(seen, s)
+				}
+				out = append(out, r.locs[i])
+			}
+			r = r.up
+			if r == nil || r.mark == ep {
+				// A stamped rib delivered at least what remains visible here.
+				return out
+			}
+		}
+	}
+	for ; r != nil && r.mark != ep; r = r.up {
+		r.mark = ep
+		out = append(out, r.locs...)
+	}
 	return out
 }
 
@@ -238,5 +320,5 @@ func (e Env) Locations() []Location {
 	if e.r == nil {
 		return nil
 	}
-	return e.AppendLocations(make([]Location, 0, e.Size()))
+	return e.AppendLocations(Unstamped, make([]Location, 0, e.Size()))
 }

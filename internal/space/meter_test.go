@@ -69,7 +69,7 @@ func TestDeltaMeterTracksMutationsExactly(t *testing.T) {
 	check("after set")
 	st.Delete(l)
 	check("after delete")
-	st.Collect(rho.Locations())
+	st.Collect(nil, rho, nil)
 	check("after collect")
 }
 

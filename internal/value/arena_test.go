@@ -136,7 +136,8 @@ func TestArenaMatchesMapStoreOnRandomOps(t *testing.T) {
 					roots = append(roots, l)
 				}
 			}
-			if ca, cr := arena.Collect(roots), ref.Collect(roots); ca != cr {
+			root := rootsVal(roots...)
+			if ca, cr := arena.Collect(root, env.Empty(), nil), ref.Collect(root, env.Empty(), nil); ca != cr {
 				t.Fatalf("step %d: Collect arena=%d map=%d", step, ca, cr)
 			}
 		case 9: // occurs-check over a random candidate set
@@ -167,7 +168,7 @@ func occursOracle(s *Store, cands []env.Location) []bool {
 			continue
 		}
 		v, _ := s.Get(l)
-		for _, ref := range Locations(v, nil) {
+		for _, ref := range Locations(v, env.Unstamped, nil) {
 			for i, c := range cands {
 				if c == ref {
 					held[i] = true
@@ -180,7 +181,9 @@ func occursOracle(s *Store, cands []env.Location) []bool {
 
 // TestCollectSteadyStateAllocsFree pins the epoch-mark collector's headline
 // property: once its scratch has warmed up, collecting an all-reachable store
-// performs zero heap allocations.
+// performs zero heap allocations. The roots reach the chain through the value
+// register, a shadowed environment and a continuation frame, so both rib
+// walks run too.
 func TestCollectSteadyStateAllocsFree(t *testing.T) {
 	s := NewStore()
 	var prev env.Location
@@ -191,10 +194,13 @@ func TestCollectSteadyStateAllocsFree(t *testing.T) {
 		}
 		prev = s.Alloc(v)
 	}
-	roots := []env.Location{prev}
-	s.Collect(roots) // warm the marks array and work stack
+	x := env.InternAll([]string{"x"})
+	rho := env.Empty().ExtendSyms(x, []env.Location{prev - 1}).ExtendSyms(x, []env.Location{prev})
+	k := &Select{Env: rho, K: Halt{}}
+	root := rootsVal(prev)
+	s.Collect(root, rho, k) // warm the marks array and work stack
 	avg := testing.AllocsPerRun(50, func() {
-		if n := s.Collect(roots); n != 0 {
+		if n := s.Collect(root, rho, k); n != 0 {
 			t.Fatalf("steady-state collect reclaimed %d", n)
 		}
 	})

@@ -184,37 +184,28 @@ func (k *MonChk) Next() Cont      { return k.K }
 // flips this, single-threaded.
 var RootReturnEnvironments = false
 
-// ContLocations appends the store locations occurring within κ. Consecutive
-// frames saving the same environment (Z_tail frames all save ρ itself)
-// contribute its locations once — callers treat the result as a root set, so
-// dropping duplicates is exact and keeps root building O(frames + one env)
-// instead of O(frames × env).
-func ContLocations(k Cont, out []env.Location) []env.Location {
-	var lastEnv env.Env
-	haveLast := false
-	appendEnv := func(e env.Env) {
-		if haveLast && e == lastEnv {
-			return
-		}
-		lastEnv, haveLast = e, true
-		out = e.AppendLocations(out)
-	}
+// ContLocations appends the store locations occurring within κ. Saved
+// environments are enumerated under ep (see env.Epoch): under one epoch a
+// rib already delivered is not walked again, so the frames of a deep
+// recursion, which all end in ρ0, cost O(frames + ribs) rather than
+// O(frames × |ρ|).
+func ContLocations(k Cont, ep env.Epoch, out []env.Location) []env.Location {
 	for k != nil {
 		switch x := k.(type) {
 		case Halt:
 			return out
 		case *Select:
-			appendEnv(x.Env)
+			out = x.Env.AppendLocations(ep, out)
 		case *Assign:
-			appendEnv(x.Env)
+			out = x.Env.AppendLocations(ep, out)
 		case *Push:
-			appendEnv(x.Env)
+			out = x.Env.AppendLocations(ep, out)
 			for _, v := range x.Done {
-				out = Locations(v, out)
+				out = Locations(v, ep, out)
 			}
 		case *Call:
 			for _, v := range x.Args {
-				out = Locations(v, out)
+				out = Locations(v, ep, out)
 			}
 		case *Return:
 			// The environment a return continuation restores is dead: no
@@ -224,7 +215,7 @@ func ContLocations(k Cont, out []env.Location) []env.Location {
 			// not a root, which is what keeps Z_gc free of the Theorem 25(a)
 			// quadratic blowup that Z_stack's A-retention causes.
 			if RootReturnEnvironments {
-				appendEnv(x.Env)
+				out = x.Env.AppendLocations(ep, out)
 			}
 		case *ReturnStack:
 			// Same dead environment as Return, but the deletion set A roots
@@ -234,27 +225,27 @@ func ContLocations(k Cont, out []env.Location) []env.Location {
 			// (Section 5, Theorem 25(a)).
 			out = append(out, x.Del...)
 		case *MonCtc:
-			appendEnv(x.Env)
+			out = x.Env.AppendLocations(ep, out)
 		case *MonAttach:
-			out = Locations(x.Ctc, out)
+			out = Locations(x.Ctc, ep, out)
 		case *MonDom:
-			out = Locations(x.G, out)
+			out = Locations(x.G, ep, out)
 			for _, v := range x.Args {
-				out = Locations(v, out)
+				out = Locations(v, ep, out)
 			}
 		case *MonCod:
 			for _, p := range x.Pend {
-				out = Locations(p.Ctc, out)
+				out = Locations(p.Ctc, ep, out)
 				// Src must stay rooted while its check is pending: the join
 				// dedups by its tag location, which a collected-and-reused
 				// cell would alias.
-				out = Locations(p.Src, out)
+				out = Locations(p.Src, ep, out)
 			}
 		case *MonChk:
-			out = Locations(x.Val, out)
+			out = Locations(x.Val, ep, out)
 			for _, p := range x.Rest {
-				out = Locations(p.Ctc, out)
-				out = Locations(p.Src, out)
+				out = Locations(p.Ctc, ep, out)
+				out = Locations(p.Src, ep, out)
 			}
 		default:
 			// A frame kind this walk does not know would silently lose GC

@@ -45,16 +45,13 @@ type Store struct {
 	vals []Value        // vals[α]; nil after deletion
 	live []env.Location // Dom σ, dense and unordered
 	slot []int32        // slot[α] = index of α in live, or -1 when dead
-	// Epoch-mark collection state, reused across Collects.
+	// Epoch-mark collection state, reused across Collects. The cell marks
+	// count their own per-store epoch; environment ribs carry the stamps of
+	// the process-wide env.Epoch instead.
 	marks   []uint32
 	epoch   uint32
 	gcStack []env.Location
 	occBuf  []env.Location
-	// envMarks dedups closure environments within one trace: many closures
-	// share one rib chain (every top-level closure closes over ρ0), and
-	// equal Envs contribute identical location sets. Entries are
-	// epoch-stamped so the map is never cleared between collections.
-	envMarks map[env.Env]uint32
 
 	// Reference representation (selected when m != nil).
 	m map[env.Location]Value
@@ -263,6 +260,27 @@ func (s *Store) Locations() []env.Location {
 	return out
 }
 
+// ribEpoch returns the epoch one traversal enumerates environments under: a
+// fresh one on the arena, so a rib delivered once is not walked again, and
+// Unstamped on the map reference, which enumerates every environment in
+// full. The differential suites therefore compare stamped tracing against
+// plain tracing.
+func (s *Store) ribEpoch() env.Epoch {
+	if s.m != nil {
+		return env.Unstamped
+	}
+	return env.NewEpoch()
+}
+
+// configLocations appends the roots of the configuration (v, ρ, κ) — the
+// locations mentioned by the value register, the environment register and
+// the continuation — to out, enumerating environments under ep.
+func configLocations(v Value, rho env.Env, k Cont, ep env.Epoch, out []env.Location) []env.Location {
+	out = Locations(v, ep, out)
+	out = rho.AppendLocations(ep, out)
+	return ContLocations(k, ep, out)
+}
+
 // beginEpoch prepares the reusable mark array for a fresh traversal: bump the
 // epoch (a slot is marked iff marks[α] == epoch) and grow marks to cover
 // every location ever allocated. Growth goes through append so its
@@ -277,26 +295,20 @@ func (s *Store) beginEpoch() {
 		for i := range s.marks {
 			s.marks[i] = 0
 		}
-		s.envMarks = nil
 		s.epoch = 1
 	}
 }
 
 // markReachable traces the reachability relation of Figure 5's collection
-// rule from roots, setting marks[α] == epoch for every location encountered
-// (dangling references included, matching the map reference's seen set). The
-// work stack is reused across calls, so a steady-state traversal allocates
-// nothing.
-func (s *Store) markReachable(roots []env.Location) {
+// rule from the locations on stack, setting marks[α] == epoch for every
+// location encountered (dangling references included, matching the map
+// reference's seen set), and returns the number of live cells it marked.
+// Closure environments are enumerated under ep, the epoch the roots were
+// built under, so a rib delivered as a root or through another closure is
+// not walked again. The work stack is kept for the next call, so a
+// steady-state traversal allocates nothing.
+func (s *Store) markReachable(ep env.Epoch, stack []env.Location) (live int) {
 	s.beginEpoch()
-	if s.envMarks == nil {
-		s.envMarks = make(map[env.Env]uint32)
-	} else if len(s.envMarks) > 1<<16 {
-		// Stale Env keys pin dead rib chains in Go's heap; rebuild once the
-		// map outgrows any plausible live population.
-		s.envMarks = make(map[env.Env]uint32)
-	}
-	stack := append(s.gcStack[:0], roots...)
 	for len(stack) > 0 {
 		l := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -307,44 +319,44 @@ func (s *Store) markReachable(roots []env.Location) {
 		if s.slot[l] < 0 {
 			continue
 		}
-		// Closures are unpacked here rather than through Locations so an
-		// environment shared by many closures is walked once per trace.
-		if cl, ok := s.vals[l].(Closure); ok {
-			stack = append(stack, cl.Tag)
-			if s.envMarks[cl.Env] != s.epoch {
-				s.envMarks[cl.Env] = s.epoch
-				stack = cl.Env.AppendLocations(stack)
-			}
-			continue
-		}
-		stack = Locations(s.vals[l], stack)
+		live++
+		stack = Locations(s.vals[l], ep, stack)
 	}
 	s.gcStack = stack[:0]
+	return live
 }
 
-// Reachable computes the set of locations reachable from roots through the
-// values in the store — the reachability relation of the garbage collection
-// rule in Figure 5.
-func (s *Store) Reachable(roots []env.Location) map[env.Location]bool {
-	if s.m != nil {
-		seen := make(map[env.Location]bool, len(roots))
-		stack := append([]env.Location(nil), roots...)
-		for len(stack) > 0 {
-			l := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[l] {
-				continue
-			}
-			seen[l] = true
-			v, ok := s.m[l]
-			if !ok {
-				continue
-			}
-			stack = Locations(v, stack)
+// reachMap is the map reference's trace: a depth-first search from the
+// locations on stack with a seen set.
+func (s *Store) reachMap(stack []env.Location) map[env.Location]bool {
+	seen := make(map[env.Location]bool, len(stack))
+	for len(stack) > 0 {
+		l := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[l] {
+			continue
 		}
-		return seen
+		seen[l] = true
+		v, ok := s.m[l]
+		if !ok {
+			continue
+		}
+		stack = Locations(v, env.Unstamped, stack)
 	}
-	s.markReachable(roots)
+	return seen
+}
+
+// Reachable computes the set of locations reachable from the configuration
+// (v, ρ, κ) through the values in the store — the reachability relation of
+// the garbage collection rule in Figure 5. v may be nil (an expression
+// configuration) and κ nil (no continuation).
+func (s *Store) Reachable(v Value, rho env.Env, k Cont) map[env.Location]bool {
+	ep := s.ribEpoch()
+	roots := configLocations(v, rho, k, ep, nil)
+	if s.m != nil {
+		return s.reachMap(roots)
+	}
+	s.markReachable(ep, roots)
 	out := make(map[env.Location]bool)
 	for l := range s.marks {
 		if s.marks[l] == s.epoch {
@@ -354,13 +366,16 @@ func (s *Store) Reachable(roots []env.Location) map[env.Location]bool {
 	return out
 }
 
-// Collect applies the garbage collection rule: every location not reachable
-// from roots is removed from the store. It returns the number of locations
-// collected. On the arena representation a collection that frees nothing
-// performs zero heap allocations.
-func (s *Store) Collect(roots []env.Location) int {
+// Collect applies the garbage collection rule to the configuration
+// (v, ρ, κ, σ): every location not reachable from the roots v, ρ and κ
+// mention is removed from the store. It returns the number of locations
+// collected. On the arena one collection is one epoch, shared by root
+// building and marking, so an environment rib delivered once is not walked
+// again; a collection that marks every live cell skips the sweep, and one
+// that frees nothing performs zero heap allocations.
+func (s *Store) Collect(val Value, rho env.Env, k Cont) int {
 	if s.m != nil {
-		reach := s.Reachable(roots)
+		reach := s.Reachable(val, rho, k)
 		collected := 0
 		for l, v := range s.m {
 			if !reach[l] {
@@ -374,7 +389,10 @@ func (s *Store) Collect(roots []env.Location) int {
 		}
 		return collected
 	}
-	s.markReachable(roots)
+	ep := env.NewEpoch()
+	if s.markReachable(ep, configLocations(val, rho, k, ep, s.gcStack[:0])) == len(s.live) {
+		return 0
+	}
 	collected := 0
 	for i := 0; i < len(s.live); {
 		l := s.live[i]
@@ -398,15 +416,19 @@ func (s *Store) Collect(roots []env.Location) int {
 // of Z_stack's dangling-pointer check. A candidate mentioned only by other
 // candidates does not count, since a frame deletes its cells together.
 // Membership is a linear search, sized for the few argument cells one frame
-// holds. The per-value scratch is reused across calls.
+// holds. The per-value scratch is reused across calls. One scan is one
+// epoch: a rib an earlier cell delivered adds nothing new, and candidate
+// cells are skipped before their values are listed, so no rib is stamped on
+// their behalf.
 func (s *Store) OccursIn(cands []env.Location) (held []bool) {
 	held = make([]bool, len(cands))
+	ep := s.ribEpoch()
 	scratch := s.occBuf[:0]
 	s.Each(func(l env.Location, v Value) {
 		if slices.Contains(cands, l) {
 			return
 		}
-		scratch = Locations(v, scratch[:0])
+		scratch = Locations(v, ep, scratch[:0])
 		for _, ref := range scratch {
 			if i := slices.Index(cands, ref); i >= 0 {
 				held[i] = true

@@ -59,7 +59,7 @@ func TestObserverSeesCollection(t *testing.T) {
 	s.AddObserver(a)
 	keep := s.Alloc(NewNum(1))
 	s.Alloc(Str("garbage"))
-	s.Collect([]env.Location{keep})
+	s.Collect(rootsVal(keep), env.Empty(), nil)
 	if a.total != 2 {
 		t.Fatalf("after collect: %d", a.total)
 	}
@@ -105,7 +105,7 @@ func TestPropertyObserverNeverDrifts(t *testing.T) {
 				if len(roots) > 1 {
 					roots = roots[:len(roots)/2]
 				}
-				s.Collect(roots)
+				s.Collect(rootsVal(roots...), env.Empty(), nil)
 				live = append([]env.Location{}, roots...)
 			}
 			walked := 0

@@ -170,8 +170,10 @@ func ContractID(v Value) (id any, ok bool) {
 
 // Locations appends the store locations that occur (syntactically) within v
 // — the roots contributed by v for garbage collection and for the
-// occurs-checks of the Z_stack return rule.
-func Locations(v Value, out []env.Location) []env.Location {
+// occurs-checks of the Z_stack return rule. Environments are enumerated
+// under ep (see env.Epoch): a rib an earlier call under the same epoch
+// delivered is not appended again.
+func Locations(v Value, ep env.Epoch, out []env.Location) []env.Location {
 	switch x := v.(type) {
 	case Pair:
 		return append(out, x.CarLoc, x.CdrLoc)
@@ -179,20 +181,20 @@ func Locations(v Value, out []env.Location) []env.Location {
 		return append(out, x.ElemLocs...)
 	case Closure:
 		out = append(out, x.Tag)
-		return x.Env.AppendLocations(out)
+		return x.Env.AppendLocations(ep, out)
 	case Escape:
 		out = append(out, x.Tag)
-		return ContLocations(x.K, out)
+		return ContLocations(x.K, ep, out)
 	case *ArrowContract:
 		out = append(out, x.Tag)
 		for _, d := range x.Dom {
-			out = Locations(d, out)
+			out = Locations(d, ep, out)
 		}
-		return Locations(x.Cod, out)
+		return Locations(x.Cod, ep, out)
 	case Guarded:
 		out = append(out, x.Tag)
-		out = Locations(x.Proc, out)
-		return Locations(x.Ctc, out)
+		out = Locations(x.Proc, ep, out)
+		return Locations(x.Ctc, ep, out)
 	}
 	return out
 }

@@ -74,12 +74,16 @@ func TestStoreDeleteAndAllocsMonotone(t *testing.T) {
 	}
 }
 
+// rootsVal puts root locations in the value register: a vector mentions
+// exactly its element locations.
+func rootsVal(ls ...env.Location) Value { return Vector{ElemLocs: ls} }
+
 func TestReachabilityThroughPairs(t *testing.T) {
 	s := NewStore()
 	leaf := s.Alloc(NewNum(1))
 	mid := s.Alloc(Pair{CarLoc: leaf, CdrLoc: leaf})
 	orphan := s.Alloc(NewNum(9))
-	reach := s.Reachable([]env.Location{mid})
+	reach := s.Reachable(rootsVal(mid), env.Empty(), nil)
 	if !reach[mid] || !reach[leaf] {
 		t.Fatal("pair fields must be reachable")
 	}
@@ -98,7 +102,7 @@ func TestReachabilityThroughClosureEnv(t *testing.T) {
 		Env: env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{captured}),
 	}
 	holder := s.Alloc(clo)
-	reach := s.Reachable([]env.Location{holder})
+	reach := s.Reachable(rootsVal(holder), env.Empty(), nil)
 	for _, l := range []env.Location{holder, captured, tag} {
 		if !reach[l] {
 			t.Fatalf("location %d must be reachable", l)
@@ -111,7 +115,7 @@ func TestReachabilityThroughVector(t *testing.T) {
 	a := s.Alloc(NewNum(1))
 	b := s.Alloc(NewNum(2))
 	vec := s.Alloc(Vector{ElemLocs: []env.Location{a, b}})
-	reach := s.Reachable([]env.Location{vec})
+	reach := s.Reachable(rootsVal(vec), env.Empty(), nil)
 	if !reach[a] || !reach[b] {
 		t.Fatal("vector elements must be reachable")
 	}
@@ -122,7 +126,7 @@ func TestReachabilityCycle(t *testing.T) {
 	a := s.Alloc(Undefined{})
 	b := s.Alloc(Pair{CarLoc: a, CdrLoc: a})
 	s.Set(a, Pair{CarLoc: b, CdrLoc: b}) // cycle
-	reach := s.Reachable([]env.Location{a})
+	reach := s.Reachable(rootsVal(a), env.Empty(), nil)
 	if !reach[a] || !reach[b] {
 		t.Fatal("cycle must be fully reachable")
 	}
@@ -136,7 +140,7 @@ func TestCollect(t *testing.T) {
 	keep := s.Alloc(NewNum(1))
 	s.Alloc(NewNum(2))
 	s.Alloc(NewNum(3))
-	n := s.Collect([]env.Location{keep})
+	n := s.Collect(rootsVal(keep), env.Empty(), nil)
 	if n != 2 || s.Size() != 1 {
 		t.Fatalf("collected=%d size=%d", n, s.Size())
 	}
@@ -148,7 +152,7 @@ func TestCollect(t *testing.T) {
 func TestCollectEmptyRoots(t *testing.T) {
 	s := NewStore()
 	s.Alloc(NewNum(1))
-	if n := s.Collect(nil); n != 1 || s.Size() != 0 {
+	if n := s.Collect(nil, env.Empty(), nil); n != 1 || s.Size() != 0 {
 		t.Fatalf("collected=%d", n)
 	}
 }
@@ -176,7 +180,7 @@ func TestContLocations(t *testing.T) {
 	var k Cont = Halt{}
 	k = &Select{Then: &ast.Var{Name: "a"}, Else: &ast.Var{Name: "b"}, Env: e, K: k}
 	k = &Push{Done: []Value{Pair{CarLoc: 7, CdrLoc: 8}}, Env: env.Empty(), K: k}
-	locs := ContLocations(k, nil)
+	locs := ContLocations(k, env.Unstamped, nil)
 	want := map[env.Location]bool{3: true, 7: true, 8: true}
 	for _, l := range locs {
 		delete(want, l)
@@ -190,7 +194,7 @@ func TestContLocationsIncludesDeletionSet(t *testing.T) {
 	// A occurs within return:(A,ρ,κ), so stack frames root their variables
 	// until they return — the retention that Theorem 25(a) exploits.
 	k := &ReturnStack{Del: []env.Location{5}, Env: env.Empty(), K: Halt{}}
-	locs := ContLocations(k, nil)
+	locs := ContLocations(k, env.Unstamped, nil)
 	found := false
 	for _, l := range locs {
 		if l == 5 {
@@ -209,13 +213,13 @@ func TestReturnEnvironmentsAreDead(t *testing.T) {
 	// (Theorem 25(a)).
 	rho := env.Empty().ExtendSyms(env.InternAll([]string{"v"}), []env.Location{42})
 	gcFrame := &Return{Env: rho, K: Halt{}}
-	for _, l := range ContLocations(gcFrame, nil) {
+	for _, l := range ContLocations(gcFrame, env.Unstamped, nil) {
 		if l == 42 {
 			t.Fatal("Z_gc return environments must not root their locations")
 		}
 	}
 	stackFrame := &ReturnStack{Del: nil, Env: rho, K: Halt{}}
-	for _, l := range ContLocations(stackFrame, nil) {
+	for _, l := range ContLocations(stackFrame, env.Unstamped, nil) {
 		if l == 42 {
 			t.Fatal("Z_stack return environments must not root their locations either")
 		}
@@ -237,7 +241,7 @@ func TestDepth(t *testing.T) {
 func TestEscapeLocations(t *testing.T) {
 	e := env.Empty().ExtendSyms(env.InternAll([]string{"y"}), []env.Location{11})
 	esc := Escape{Tag: 10, K: &Assign{Name: "y", Env: e, K: Halt{}}}
-	locs := Locations(esc, nil)
+	locs := Locations(esc, env.Unstamped, nil)
 	found := map[env.Location]bool{}
 	for _, l := range locs {
 		found[l] = true
