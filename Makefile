@@ -44,10 +44,11 @@ contracts-guard:
 	sh scripts/contractsguard.sh
 
 # Run the tables guard (a gate), then run the benchmarks of the parent
-# commit (HEAD^) and of this tree on this host and diff them; writes
-# benchdiff.txt. The timing diff gates at BENCH_FAIL_OVER percent
-# (default 35): a slowdown past the threshold on any benchmark present in
-# both reports fails the run. BENCH_FAIL_OVER=0 makes it report-only.
+# commit (HEAD^) and of this tree on this host, three samples each,
+# alternating, and diff the medians; writes benchdiff.txt. The timing diff
+# gates at BENCH_FAIL_OVER percent (default 35): a slowdown past the
+# threshold on any benchmark present in both reports fails the run.
+# BENCH_FAIL_OVER=0 makes it report-only.
 bench-diff:
 	sh scripts/benchdiff.sh
 

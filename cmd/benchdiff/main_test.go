@@ -27,6 +27,26 @@ func writeReport(t *testing.T, ns float64, names ...string) string {
 	return path
 }
 
+// writeSamples writes a benchjson report holding one result per sample,
+// all under one name, as several suites appended to one report do, and
+// returns its path.
+func writeSamples(t *testing.T, name string, ns ...float64) string {
+	t.Helper()
+	rep := report{CPU: "test"}
+	for _, x := range ns {
+		rep.Results = append(rep.Results, result{Name: name, Iterations: 1, NsPerOp: x})
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func runDiff(t *testing.T, args ...string) (int, string) {
 	t.Helper()
 	var out, errOut strings.Builder
@@ -84,6 +104,24 @@ func TestFailOverGatesMatchedSlowdown(t *testing.T) {
 	}
 	if status, out := runDiff(t, old, new_); status != 0 {
 		t.Fatalf("report-only run: status %d, output:\n%s", status, out)
+	}
+}
+
+// TestRepeatedSamplesCompareMedians reads each side of a repeated benchmark
+// as the median of its samples: an outlier sample, first or last, neither
+// trips the gate nor masks a slowdown most samples show. Keeping only the
+// last sample of each name would get both cases wrong.
+func TestRepeatedSamplesCompareMedians(t *testing.T) {
+	old := writeSamples(t, "BenchmarkA", 100, 1000, 98)
+	noisy := writeSamples(t, "BenchmarkA-2", 110, 105, 300)
+	status, out := runDiff(t, "-fail-over", "35", old, noisy)
+	if status != 0 || !strings.Contains(out, "+10.0%") || !strings.Contains(out, "3/3") {
+		t.Fatalf("medians 100 -> 110 must pass: status %d, output:\n%s", status, out)
+	}
+	slower := writeSamples(t, "BenchmarkA-2", 200, 210, 100)
+	status, out = runDiff(t, "-fail-over", "35", old, slower)
+	if status != 1 || !strings.Contains(out, "+100.0%") || !strings.Contains(out, "FAIL: 1 benchmark") {
+		t.Fatalf("medians 100 -> 200 must fail: status %d, output:\n%s", status, out)
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 
 	"tailspace/internal/core"
 	"tailspace/internal/cps"
+	"tailspace/internal/obs"
 	"tailspace/internal/sexpr"
 	"tailspace/internal/space"
 )
@@ -94,23 +95,23 @@ func main() {
 		MaxSteps:    *maxSteps,
 	}
 
-	var profileFile *os.File
+	var prof *obs.ProfileSink
 	if *profile != "" {
 		f, err := os.Create(*profile)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		profileFile = f
 		opts.Measure = true
 		fmt.Fprintln(f, "step,flat,linked,heap,depth")
-		opts.Trace = func(p core.TracePoint) {
-			fmt.Fprintf(f, "%d,%d,%d,%d,%d\n", p.Step, p.Flat, p.Linked, p.Heap, p.ContDepth)
-		}
+		prof = &obs.ProfileSink{Row: func(e obs.Event) {
+			fmt.Fprintf(f, "%d,%d,%d,%d,%d\n", e.Step, e.Flat, e.Linked, e.Heap, e.Depth)
+		}}
+		opts.Events = prof
 	}
 
 	if *interactive {
-		repl(opts, *measure)
+		repl(opts, *measure, prof)
 		return
 	}
 
@@ -132,12 +133,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	prof.End()
 	if res.Err != nil {
 		fatal(res.Err)
 	}
 
 	fmt.Println(res.Answer)
-	if profileFile != nil {
+	if prof != nil {
 		fmt.Printf("space profile written to %s (%d samples)\n", *profile, res.Steps+1)
 	}
 	if *measure {
@@ -159,7 +161,7 @@ func fatal(err error) {
 // for the rest of the session; each expression is evaluated in a fresh store
 // against the accumulated definitions (state set! at the top level does not
 // persist across entries).
-func repl(opts core.Options, measure bool) {
+func repl(opts core.Options, measure bool, prof *obs.ProfileSink) {
 	fmt.Printf("tailspace %s machine; ,q to quit\n", opts.Variant)
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -199,6 +201,7 @@ func repl(opts core.Options, measure bool) {
 			}
 			src := strings.Join(defs, "\n") + "\n" + d.String()
 			res, err := core.RunProgram(src, opts)
+			prof.End()
 			switch {
 			case err != nil:
 				fmt.Println("error:", err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tailspace/internal/obs"
 	"tailspace/internal/space"
 )
 
@@ -93,25 +94,23 @@ func TestPropertyGCNeverChangesAnswers(t *testing.T) {
 	}
 }
 
-// TestPropertyTraceFlatMatchesPeak: the maximum of the traced series equals
-// the reported peak.
+// TestPropertyTraceFlatMatchesPeak: the maximum of the space profile the
+// event stream carries equals the reported peak.
 func TestPropertyTraceFlatMatchesPeak(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		src := randomIntProgram(r, 3)
 		maxFlat := 0
+		sink := &obs.ProfileSink{Row: func(e obs.Event) { maxFlat = max(maxFlat, e.Flat) }}
 		opts := Options{
 			Variant: Tail, Measure: true, FlatOnly: true, MaxSteps: 300_000,
-			Trace: func(p TracePoint) {
-				if p.Flat > maxFlat {
-					maxFlat = p.Flat
-				}
-			},
+			Events: sink,
 		}
 		res, err := RunProgram(src, opts)
 		if err != nil || res.Err != nil {
 			return false
 		}
+		sink.End()
 		return maxFlat == res.PeakFlat
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

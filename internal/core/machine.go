@@ -234,7 +234,7 @@ func (m *Machine) stepValue(s State) (State, bool, error) {
 				Done:    done,
 				DoneIdx: doneIdx,
 				CurIdx:  k.RestIdx[0],
-				Env:     m.pushEnvStep(k.Env, rest),
+				Env:     m.pushEnv(k.Env, rest),
 				K:       k.K,
 			}
 			return EvalState(nextExpr, k.Env, nk), false, nil
@@ -280,9 +280,10 @@ func (m *Machine) stepValue(s State) (State, bool, error) {
 		// The verdict of a flat domain predicate for argument Idx.
 		m.lastRule = RuleMonDom
 		if !value.Truthy(s.Val) {
+			label := k.G.(value.Guarded).Label
 			return s, false, m.stuck(
 				"contract violation: argument %d of %s rejected by its domain contract (blaming the caller of %s)",
-				k.Idx+1, k.G.Label, k.G.Label)
+				k.Idx+1, label, label)
 		}
 		return m.monApplyDoms(s, k.G, k.Args, k.Idx+1, k.K)
 
@@ -300,19 +301,6 @@ func (m *Machine) stepValue(s State) (State, bool, error) {
 		return m.monCheck(s, k.Val, k.Rest, k.K)
 	}
 	return s, false, m.stuck("unknown continuation form %T", s.K)
-}
-
-// pushEnvStep further restricts the continuation environment as evaluation
-// proceeds through a call's subexpressions.
-func (m *Machine) pushEnvStep(rho env.Env, rest []ast.Expr) env.Env {
-	switch {
-	case m.variant.RestrictConts:
-		return rho.RestrictSyms(m.fv.FreeSymsOfAll(rest))
-	case m.variant.EvlisLastEnv && len(rest) == 0:
-		return env.Empty()
-	default:
-		return rho
-	}
 }
 
 // applyProcedure implements the call rules for closures, escapes, and
@@ -357,7 +345,7 @@ func (m *Machine) applyProcedure(s State, op value.Value, args []value.Value, k 
 		}
 		owned := make([]value.Value, len(args))
 		copy(owned, args)
-		return m.monApplyDoms(s, proc, owned, 0, k)
+		return m.monApplyDoms(s, op, owned, 0, k)
 
 	case value.Escape:
 		m.lastRule = RuleApplyEscape

@@ -21,7 +21,11 @@ import (
 // place, flat domains apply their predicate under a mon-dom continuation
 // that resumes at the next index. When every domain is satisfied the
 // underlying procedure is applied with the codomain check pending.
-func (m *Machine) monApplyDoms(s State, g value.Guarded, args []value.Value, idx int, k value.Cont) (State, bool, error) {
+//
+// gv is the Guarded being applied, passed as the Value the call received: a
+// mon-dom frame holds it as that Value, so pricing the frame never boxes it.
+func (m *Machine) monApplyDoms(s State, gv value.Value, args []value.Value, idx int, k value.Cont) (State, bool, error) {
+	g := gv.(value.Guarded)
 	ctc := g.Ctc
 	for i := idx; i < len(args); i++ {
 		switch d := ctc.Dom[i].(type) {
@@ -37,7 +41,7 @@ func (m *Machine) monApplyDoms(s State, g value.Guarded, args []value.Value, idx
 			if !value.IsProcedure(d) {
 				return s, false, m.stuck("mon: %T is not a contract", d)
 			}
-			dk := &value.MonDom{G: g, Args: args, Idx: i, K: k}
+			dk := &value.MonDom{G: gv, Args: args, Idx: i, K: k}
 			return m.applyProcedure(s, d, []value.Value{args[i]}, dk)
 		}
 	}

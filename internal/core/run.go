@@ -61,13 +61,6 @@ type Options struct {
 	// differential suite pins this); the reference exists to be slow and
 	// obviously correct.
 	MapStore bool
-	// Trace, when set, receives one TracePoint per transition (after the GC
-	// rule has run) — the space-over-time series behind a space profile.
-	// The hook fires with or without Measure; TracePoint.Measured tells a
-	// sink whether the Flat/Linked fields were actually computed (without
-	// Measure they are zero because they were never measured, not because
-	// the configuration was free).
-	Trace func(TracePoint)
 	// Events, when set, receives the structured observability stream: one
 	// transition event per step (tagged with the machine rule that fired),
 	// one event per GC-rule application (with the cells it reclaimed), one
@@ -98,20 +91,6 @@ type Options struct {
 	// Pass a context's Done() channel to integrate with context
 	// cancellation and deadlines.
 	Cancel <-chan struct{}
-}
-
-// TracePoint is one sample of a run's space profile.
-type TracePoint struct {
-	Step      int
-	Flat      int // Figure 7 space of the configuration (plus |P|)
-	Linked    int // Figure 8 space (0 when FlatOnly)
-	Heap      int // live store locations
-	ContDepth int
-	// Measured distinguishes "measured as zero" from "not measured": it is
-	// true iff the run had Options.Measure set, i.e. iff Flat (and, unless
-	// FlatOnly, Linked) carry real Figure 7/8 measurements. Heap and
-	// ContDepth are always sampled.
-	Measured bool
 }
 
 const defaultMaxSteps = 5_000_000
@@ -419,8 +398,8 @@ func (r *Runner) contDepth(k value.Cont) int {
 	return r.depthVal
 }
 
-// observe samples the configuration s that rule just produced: peaks,
-// trace points, and transition events.
+// observe samples the configuration s that rule just produced: peaks and
+// transition events.
 func (r *Runner) observe(res *Result, s State, st *value.Store, rule Rule) {
 	heap := st.Size()
 	depth := r.contDepth(s.K)
@@ -441,12 +420,6 @@ func (r *Runner) observe(res *Result, s State, st *value.Store, rule Rule) {
 			r.peaks.Observe(space.PeakLinked, res.Steps, linked)
 			res.PeakLinked = r.peaks.Get(space.PeakLinked)
 		}
-	}
-	if r.opts.Trace != nil {
-		r.opts.Trace(TracePoint{
-			Step: res.Steps, Flat: flat, Linked: linked,
-			Heap: heap, ContDepth: depth, Measured: r.opts.Measure,
-		})
 	}
 	if r.opts.Events != nil && res.Steps > 0 {
 		r.opts.Events.Emit(obs.Event{

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"testing"
+
+	"tailspace/internal/obs"
 )
 
 // --- Options.GCEvery contract -------------------------------------------
@@ -69,65 +71,67 @@ func TestGCEveryZeroWithMeasureDefaultsToEveryStep(t *testing.T) {
 	}
 }
 
-// --- TracePoint emission -------------------------------------------------
+// --- The transition events as a space profile --------------------------
 
-// collectTrace runs countdown(n) under Z_tail with a trace hook installed.
-func collectTrace(t *testing.T, n int, tweak ...func(*Options)) (Result, []TracePoint) {
+// collectProfile runs countdown(n) under Z_tail and returns the run and the
+// space profile its event stream carries: one sample per configuration,
+// the initial one and one per transition.
+func collectProfile(t *testing.T, n int, tweak ...func(*Options)) (Result, []obs.Event) {
 	t.Helper()
-	var trace []TracePoint
-	opts := append([]func(*Options){func(o *Options) {
-		o.Trace = func(p TracePoint) { trace = append(trace, p) }
-	}}, tweak...)
+	var prof []obs.Event
+	sink := &obs.ProfileSink{Row: func(e obs.Event) { prof = append(prof, e) }}
+	opts := append([]func(*Options){func(o *Options) { o.Events = sink }}, tweak...)
 	res := measure(t, Tail, countdownLoop, n, opts...)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	return res, trace
+	sink.End()
+	return res, prof
 }
 
 func TestTraceCoversEveryStepInOrder(t *testing.T) {
-	res, trace := collectTrace(t, 25)
+	res, prof := collectProfile(t, 25)
 	// One sample per configuration: the initial one plus one per transition.
-	if len(trace) != res.Steps+1 {
-		t.Fatalf("len(trace) = %d, want Steps+1 = %d", len(trace), res.Steps+1)
+	if len(prof) != res.Steps+1 {
+		t.Fatalf("len(profile) = %d, want Steps+1 = %d", len(prof), res.Steps+1)
 	}
-	for i, p := range trace {
+	for i, p := range prof {
 		if p.Step != i {
-			t.Fatalf("trace[%d].Step = %d: samples out of order", i, p.Step)
+			t.Fatalf("profile[%d].Step = %d: samples out of order", i, p.Step)
 		}
 		if !p.Measured {
-			t.Fatalf("trace[%d].Measured = false on a Measure run", i)
+			t.Fatalf("profile[%d].Measured = false on a Measure run", i)
 		}
 		if p.Flat <= 0 {
-			t.Fatalf("trace[%d].Flat = %d, want positive", i, p.Flat)
+			t.Fatalf("profile[%d].Flat = %d, want positive", i, p.Flat)
 		}
 		if p.Linked <= 0 || p.Linked > p.Flat {
-			t.Fatalf("trace[%d]: Linked = %d, Flat = %d, want 0 < Linked <= Flat", i, p.Linked, p.Flat)
+			t.Fatalf("profile[%d]: Linked = %d, Flat = %d, want 0 < Linked <= Flat", i, p.Linked, p.Flat)
 		}
 	}
-	// Trace samples already include |P|, so the recorded peak is exactly the
-	// max over the trace.
+	// Samples already include |P|, so the recorded peak is exactly the max
+	// over the profile.
 	peak := 0
-	for _, p := range trace {
+	for _, p := range prof {
 		if p.Flat > peak {
 			peak = p.Flat
 		}
 	}
 	if res.PeakFlat != peak {
-		t.Fatalf("PeakFlat = %d, want max(trace.Flat) = %d", res.PeakFlat, peak)
+		t.Fatalf("PeakFlat = %d, want max(profile.Flat) = %d", res.PeakFlat, peak)
 	}
 }
 
 func TestTraceStepNumberingWithSparseGC(t *testing.T) {
 	// GCEvery > 1 changes when the GC rule runs, not which configurations
 	// are sampled: numbering must stay dense.
-	res, trace := collectTrace(t, 25, func(o *Options) { o.GCEvery = 7 })
-	if len(trace) != res.Steps+1 {
-		t.Fatalf("len(trace) = %d, want %d", len(trace), res.Steps+1)
+	res, prof := collectProfile(t, 25, func(o *Options) { o.GCEvery = 7 })
+	if len(prof) != res.Steps+1 {
+		t.Fatalf("len(profile) = %d, want %d", len(prof), res.Steps+1)
 	}
-	for i, p := range trace {
+	for i, p := range prof {
 		if p.Step != i {
-			t.Fatalf("trace[%d].Step = %d with GCEvery=7", i, p.Step)
+			t.Fatalf("profile[%d].Step = %d with GCEvery=7", i, p.Step)
 		}
 	}
 	if res.Collections >= res.Steps {
@@ -136,46 +140,40 @@ func TestTraceStepNumberingWithSparseGC(t *testing.T) {
 }
 
 func TestTraceFlatOnlyLeavesLinkedZero(t *testing.T) {
-	_, trace := collectTrace(t, 25, flatOnly)
-	for i, p := range trace {
+	_, prof := collectProfile(t, 25, flatOnly)
+	for i, p := range prof {
 		if p.Linked != 0 {
-			t.Fatalf("trace[%d].Linked = %d under FlatOnly, want 0", i, p.Linked)
+			t.Fatalf("profile[%d].Linked = %d under FlatOnly, want 0", i, p.Linked)
 		}
 		if p.Flat <= 0 {
-			t.Fatalf("trace[%d].Flat = %d under FlatOnly, want positive", i, p.Flat)
+			t.Fatalf("profile[%d].Flat = %d under FlatOnly, want positive", i, p.Flat)
 		}
 	}
 }
 
 func TestTraceWithoutMeasureSamplesHeapOnly(t *testing.T) {
-	// The trace hook still fires without Measure — a heap/depth profile is
-	// cheap — but the Figure 7/8 fields stay zero.
-	var trace []TracePoint
-	res, err := RunApplication(countdownLoop, numInput(10), Options{
-		Variant: Tail,
-		Trace:   func(p TracePoint) { trace = append(trace, p) },
-	})
+	// Transition events still carry the heap and depth without Measure — a
+	// heap/depth profile is cheap — but the Figure 7/8 fields stay zero.
+	// (TestTransitionEventsMatchSteps pins their count, order and Measured.)
+	var prof []obs.Event
+	sink := &obs.ProfileSink{Row: func(e obs.Event) { prof = append(prof, e) }}
+	res, err := RunApplication(countdownLoop, numInput(10), Options{Variant: Tail, Events: sink})
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if len(trace) != res.Steps+1 {
-		t.Fatalf("len(trace) = %d, want %d", len(trace), res.Steps+1)
+	sink.End()
+	if len(prof) != res.Steps+1 {
+		t.Fatalf("len(profile) = %d, want %d", len(prof), res.Steps+1)
 	}
-	for i, p := range trace {
-		if p.Step != i {
-			t.Fatalf("trace[%d].Step = %d", i, p.Step)
+	for i, p := range prof {
+		if p.Measured || p.Flat != 0 || p.Linked != 0 {
+			t.Fatalf("profile[%d] measured space without Measure: flat=%d linked=%d", i, p.Flat, p.Linked)
 		}
-		if p.Measured {
-			t.Fatalf("trace[%d].Measured = true without Measure", i)
-		}
-		if p.Flat != 0 || p.Linked != 0 {
-			t.Fatalf("trace[%d] measured space without Measure: flat=%d linked=%d", i, p.Flat, p.Linked)
-		}
-		if p.Heap <= 0 {
-			t.Fatalf("trace[%d].Heap = %d, want positive (globals are live)", i, p.Heap)
+		if p.Heap <= 0 || p.Depth <= 0 {
+			t.Fatalf("profile[%d]: heap=%d depth=%d, want positive (globals are live)", i, p.Heap, p.Depth)
 		}
 	}
 }

@@ -19,8 +19,9 @@ const maxReportRibs = 8
 
 // Frame summarizes one continuation frame live at a peak.
 type Frame struct {
-	// Kind is the continuation constructor ("select", "assign", "push",
-	// "call", "return", "return-stack", "halt").
+	// Kind is the continuation constructor: "halt", "select", "assign",
+	// "push", "call", "return", "return-stack", or one of the monitor
+	// frames "mon-ctc", "mon-attach", "mon-dom", "mon-cod", "mon-chk".
 	Kind string `json:"kind"`
 	// Charge is the frame's contribution to space(κ) under the run's cost
 	// model, collapsed at the pointer width of the live store at the peak.
@@ -100,26 +101,22 @@ func NewPeakReport(machine string, step, flat int, rule, expr string, nodeID int
 	return r
 }
 
-// snapshotFrame summarizes one continuation frame.
+// snapshotFrame summarizes one continuation frame: the saved environment
+// comes from the frame's parts, the kind and pending source from its kind.
 func snapshotFrame(k value.Cont, charge int) Frame {
-	f := Frame{Charge: charge}
+	p := k.Parts()
+	f := Frame{Charge: charge, EnvSize: p.Env.Size(), Ribs: ribs(p.Env)}
 	switch x := k.(type) {
 	case value.Halt:
 		f.Kind = "halt"
 	case *value.Select:
 		f.Kind = "select"
-		f.EnvSize = x.Env.Size()
-		f.Ribs = ribs(x.Env)
 		f.Pending = Abbrev("(if · "+x.Then.String()+" "+x.Else.String()+")", 60)
 	case *value.Assign:
 		f.Kind = "assign"
-		f.EnvSize = x.Env.Size()
-		f.Ribs = ribs(x.Env)
 		f.Pending = Abbrev("(set! "+x.Name+" ·)", 60)
 	case *value.Push:
 		f.Kind = "push"
-		f.EnvSize = x.Env.Size()
-		f.Ribs = ribs(x.Env)
 		if len(x.Rest) > 0 {
 			f.Pending = Abbrev(x.Rest[0].String(), 60)
 		}
@@ -127,22 +124,17 @@ func snapshotFrame(k value.Cont, charge int) Frame {
 		f.Kind = "call"
 	case *value.Return:
 		f.Kind = "return"
-		f.EnvSize = x.Env.Size()
-		f.Ribs = ribs(x.Env)
 	case *value.ReturnStack:
 		f.Kind = "return-stack"
-		f.EnvSize = x.Env.Size()
-		f.Ribs = ribs(x.Env)
 	case *value.MonCtc:
 		f.Kind = "mon-ctc"
-		f.EnvSize = x.Env.Size()
-		f.Ribs = ribs(x.Env)
 		f.Pending = Abbrev("(mon · "+x.Expr.String()+")", 60)
 	case *value.MonAttach:
 		f.Kind = "mon-attach"
 	case *value.MonDom:
 		f.Kind = "mon-dom"
-		f.Pending = Abbrev(fmt.Sprintf("(check dom %d of %s)", x.Idx, x.G.Label), 60)
+		label := x.G.(value.Guarded).Label
+		f.Pending = Abbrev(fmt.Sprintf("(check dom %d of %s)", x.Idx, label), 60)
 	case *value.MonCod:
 		f.Kind = "mon-cod"
 		f.Pending = Abbrev(fmt.Sprintf("(%d pending cod checks)", len(x.Pend)), 60)

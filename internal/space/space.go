@@ -35,9 +35,6 @@ func NewMeasurer(model CostModel) Measurer {
 
 func (m Measurer) model() CostModel { return modelOrDefault(m.Model) }
 
-// Num is the space of NUM:z.
-func (m Measurer) Num(n value.Num) Cost { return m.model().Num(n) }
-
 // Value is Figure 7's space(v). Unlike CostModel.Value, an escape procedure
 // here includes the continuation it retains, matching the figure.
 func (m Measurer) Value(v value.Value) Cost {
@@ -77,7 +74,7 @@ func (m Measurer) Cont(k value.Cont) Cost {
 
 // Frame is the charge of a single continuation frame — the per-frame
 // increment of Cont. DeltaMeter's memo and the peak-attribution reports both
-// price frames through this single definition. Unknown frame kinds panic.
+// price frames through this single definition.
 func (m Measurer) Frame(k value.Cont) Cost { return m.model().Frame(k) }
 
 // Store is Figure 7's space(σ) = Σ over α ∈ σ of (1 + space(σ(α))),

@@ -2,7 +2,6 @@ package space
 
 import (
 	"math/big"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -134,28 +133,6 @@ func TestContCosts(t *testing.T) {
 	if got := w1(word.Cont(k4)); got != 4 {
 		t.Fatalf("return-stack = %d, want 4", got)
 	}
-}
-
-// bogusCont is a continuation kind no model knows how to price; embedding
-// Halt supplies the unexported marker method.
-type bogusCont struct{ value.Halt }
-
-func TestUnknownFrameKindPanics(t *testing.T) {
-	check := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s: unknown frame kind must panic, not be priced 0", name)
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, "unpriced continuation frame") {
-				t.Fatalf("%s: unexpected panic %v", name, r)
-			}
-		}()
-		f()
-	}
-	check("flat", func() { word.Frame(bogusCont{}) })
-	check("linked", func() { newLinkedWalker(Word).contSpace(bogusCont{}) })
 }
 
 func TestStoreCost(t *testing.T) {

@@ -1,11 +1,15 @@
 #!/bin/sh
 # benchdiff.sh — run the benchmark suite of the parent commit (HEAD^) and of
-# this tree on the same host, one after the other, and diff them, writing
-# the comparison to benchdiff.txt so CI can upload it as an artifact. Both
-# sides run here, so the diff compares one machine with itself; the
-# committed BENCH_*.json files are records of other hosts and are not read.
-# The parent is checked out in a temporary git worktree, removed on exit; a
-# shallow clone needs at least two commits of history (fetch-depth: 2).
+# this tree on the same host and diff them, writing the comparison to
+# benchdiff.txt so CI can upload it as an artifact. Both sides run here, so
+# the diff compares one machine with itself; the committed BENCH_*.json
+# files are records of other hosts and are not read. Each side's suite is
+# built once and run three times, alternating parent and tree, and
+# cmd/benchdiff compares the median of each benchmark's three samples, so
+# one slow sample on a shared runner, or drift over the run, does not decide
+# the gate. The parent is checked out in a temporary git worktree, removed
+# on exit; a shallow clone needs at least two commits of history
+# (fetch-depth: 2).
 #
 # Usage: scripts/benchdiff.sh
 #
@@ -42,21 +46,39 @@ trap 'exit 130' INT TERM
 
 git worktree add --detach "$tmp/parent" "$parent" >/dev/null
 
-# suite DIR NAME runs the benchmarks in DIR and leaves $tmp/NAME.json. The
-# text output goes to a file first, so a failing benchmark fails the script,
-# with its output shown, instead of vanishing into a pipe.
-suite() {
-    echo "==> go test -bench . ($2)"
-    if ! (cd "$1" && go test -bench . -benchmem -run '^$' .) > "$tmp/$2.txt"; then
-        cat "$tmp/$2.txt"
+samples=3
+
+# build DIR NAME compiles the benchmarks in DIR into $tmp/NAME.test.
+build() {
+    echo "==> go test -c ($2)"
+    (cd "$1" && go test -c -o "$tmp/$2.test" .)
+}
+
+# sample DIR NAME I runs the benchmarks built from DIR, in DIR, and appends
+# their output to $tmp/NAME.txt. The output goes to a file first, so a
+# failing benchmark fails the script, with its output shown, instead of
+# vanishing into a pipe.
+sample() {
+    echo "==> benchmarks ($2, sample $3 of $samples)"
+    if ! (cd "$1" && "$tmp/$2.test" -test.bench . -test.benchmem -test.run '^$' -test.timeout 10m) > "$tmp/$2.$3.txt"; then
+        cat "$tmp/$2.$3.txt"
         echo "benchdiff: the $2 suite failed" >&2
         exit 1
     fi
-    go run ./cmd/benchjson < "$tmp/$2.txt" > "$tmp/$2.json"
+    cat "$tmp/$2.$3.txt" >> "$tmp/$2.txt"
 }
+
 echo "==> parent commit $parent"
-suite "$tmp/parent" parent
-suite . tree
+build "$tmp/parent" parent
+build . tree
+i=1
+while [ "$i" -le "$samples" ]; do
+    sample "$tmp/parent" parent "$i"
+    sample . tree "$i"
+    i=$((i + 1))
+done
+go run ./cmd/benchjson < "$tmp/parent.txt" > "$tmp/parent.json"
+go run ./cmd/benchjson < "$tmp/tree.txt" > "$tmp/tree.json"
 
 echo "==> benchdiff -fail-over $fail_over <parent> <this tree>"
 # Capture to the artifact first, then echo it: a pipe through tee would

@@ -25,7 +25,7 @@ go vet ./...
 
 # The repo's own vet suite (tools/analyzers): stdlib-only, so it builds
 # and runs with no network. It enforces the dense rule-table and
-# continuation-frame-switch exhaustiveness invariants.
+# panic-default switch exhaustiveness invariants.
 echo "==> framecheck (go vet -vettool)"
 mkdir -p bin
 go -C tools/analyzers build ./...

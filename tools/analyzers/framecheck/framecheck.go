@@ -7,9 +7,9 @@
 //   - dense rule tables: an array literal sized by a trailing iota bound
 //     (ruleNames [NumRules]string) silently yields "" for a rule added
 //     without a table entry;
-//   - frame switches: a type switch over a continuation-frame interface
-//     with a panicking default (the Measurer.Frame cost switches) asserts
-//     exhaustiveness at runtime only — a new frame kind panics mid-run;
+//   - kind switches: a type switch over an interface with a panicking
+//     default (a per-kind table written as a switch) asserts
+//     exhaustiveness at runtime only — a new kind panics mid-run;
 //   - enum switches: an expression switch over a dense integer
 //     enumeration (a Rule, or any kind or opcode enum written the same
 //     way) with a panicking default likewise asserts exhaustiveness at

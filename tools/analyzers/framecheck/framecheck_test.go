@@ -99,12 +99,10 @@ func TestCheck(t *testing.T) {
 	}
 }
 
-// TestMonitorFrameOmission pins the guarantee the monitor machines lean on:
-// a panic-default type switch over a continuation interface that forgets one
-// of the monitor frame kinds (here monCod, the pending-check frame the
-// space-efficient join rewrites) fails the vet gate. This is what turns
-// "every value.Cont switch handles MonCtc/MonAttach/MonDom/MonCod/MonChk"
-// from a convention into a build invariant.
+// TestMonitorFrameOmission pins the kind-switch check on a continuation-
+// shaped fixture: a panic-default type switch over an interface that
+// forgets one implementation (here monCod, the pending-check frame the
+// space-efficient join rewrites) fails the vet gate.
 func TestMonitorFrameOmission(t *testing.T) {
 	const src = `package p
 
