@@ -52,6 +52,7 @@ type Store struct {
 	epoch   uint32
 	gcStack []env.Location
 	occBuf  []env.Location
+	frames  frameParts
 
 	// Reference representation (selected when m != nil).
 	m map[env.Location]Value
@@ -326,6 +327,52 @@ func (s *Store) markReachable(ep env.Epoch, stack []env.Location) (live int) {
 	return live
 }
 
+// frameParts keeps the parts of the continuation the last collection
+// traced, bottom frame first, so a collection reads Parts only from the
+// frames pushed since. Frames are immutable, so a frame's parts hold for as
+// long as it stays on κ, and one transition pushes, pops or replaces at
+// most the top frame. Any other change to κ (an escape, MTA compression)
+// finds no match near the top and rebuilds the whole cache.
+type frameParts []cachedFrame
+
+type cachedFrame struct {
+	k Cont
+	p Parts
+}
+
+// frameMatchWindow is how many of the cached top frames each frame of κ is
+// compared against: the last collection's top frame (κ unchanged or pushed
+// on) and the one below it (popped or replaced).
+const frameMatchWindow = 2
+
+// appendRoots appends κ's roots to out, as ContLocations does, and leaves
+// the cache describing κ.
+func (c *frameParts) appendRoots(k Cont, ep env.Epoch, out []env.Location) []env.Location {
+	fs := *c
+	keep, fresh := 0, 0
+walk:
+	for f := k; f != nil; f = f.Next() {
+		for i := len(fs) - 1; i >= max(len(fs)-frameMatchWindow, 0); i-- {
+			if fs[i].k == f {
+				keep = i + 1
+				break walk
+			}
+		}
+		fresh++
+	}
+	// Clear the frames no longer on κ so the cache does not keep them alive.
+	clear(fs[keep:])
+	fs = slices.Grow(fs[:keep], fresh)[:keep+fresh]
+	for i, f := len(fs)-1, k; i >= keep; i, f = i-1, f.Next() {
+		fs[i] = cachedFrame{k: f, p: f.Parts()}
+	}
+	*c = fs
+	for i := range fs {
+		out = fs[i].p.appendRoots(ep, out)
+	}
+	return out
+}
+
 // reachMap is the map reference's trace: a depth-first search from the
 // locations on stack with a seen set.
 func (s *Store) reachMap(stack []env.Location) map[env.Location]bool {
@@ -390,7 +437,9 @@ func (s *Store) Collect(val Value, rho env.Env, k Cont) int {
 		return collected
 	}
 	ep := env.NewEpoch()
-	if s.markReachable(ep, configLocations(val, rho, k, ep, s.gcStack[:0])) == len(s.live) {
+	roots := Locations(val, ep, s.gcStack[:0])
+	roots = rho.AppendLocations(ep, roots)
+	if s.markReachable(ep, s.frames.appendRoots(k, ep, roots)) == len(s.live) {
 		return 0
 	}
 	collected := 0
