@@ -175,9 +175,6 @@ type Runner struct {
 	lastExpr ast.Expr
 	nodeIDs  map[ast.Expr]int
 	tap      *allocTap
-	// gcSnap witnesses the configuration at the end of the last collection,
-	// for the root-delta fast path (see collect).
-	gcSnap gcSnapshot
 	// depthK/depthVal memoize the continuation depth of the previous
 	// observation. One transition moves the continuation by at most one
 	// frame (push, pop, or replace-top), so the next depth is one pointer
@@ -187,20 +184,6 @@ type Runner struct {
 	depthK     value.Cont
 	depthVal   int
 	depthValid bool
-}
-
-// gcSnapshot captures what the last collection saw. If the next collection's
-// configuration has the same continuation and environment (pointer-equal —
-// Env and Cont are comparable), a location-free value register both times,
-// and the store's mutation counter unchanged, then its root set is identical
-// and the store holds exactly what the last collection kept — so collecting
-// again is provably a no-op and the trace can be skipped.
-type gcSnapshot struct {
-	k        value.Cont
-	env      env.Env
-	valClean bool
-	mut      uint64
-	valid    bool
 }
 
 // NewRunner prepares a run of program expression e applied under opts. The
@@ -270,6 +253,8 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 		defer st.RemoveObserver(r.tap)
 	}
 	defer func() { res.Metrics = r.buildMetrics(&res, st) }()
+	// The collector's and the meter's tables go back to their pools.
+	defer st.Release()
 
 	res = Result{ProgramSize: e.Size(), Store: st}
 	s := EvalState(e, rho0, value.Halt{})
@@ -325,7 +310,7 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 			if r.opts.Variant.CompressFrames {
 				s.K = CompressReturnChains(s.K)
 			}
-			collected := r.collect(s, st)
+			collected := st.Reclaim(s.Val, s.Env, s.K)
 			if observing {
 				r.opts.Events.Emit(obs.Event{
 					Type: obs.EventGC, Step: res.Steps,
@@ -339,44 +324,6 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 		}
 		r.observe(&res, s, st, r.machine.LastRule())
 	}
-}
-
-// collect applies the garbage collection rule to the current configuration.
-// The root-delta fast path: when the configuration's continuation and
-// environment are the very ones the last collection traced, the value
-// register mentions no locations either time, and the store has not been
-// touched since, the root set and store contents are unchanged — the trace
-// would keep everything it kept before, so it is skipped. Any allocation,
-// set!, deletion, or continuation/environment change falls back to the full
-// trace.
-func (r *Runner) collect(s State, st *value.Store) int {
-	snap := &r.gcSnap
-	if snap.valid &&
-		s.K == snap.k && s.Env == snap.env &&
-		snap.valClean && valLocFree(s.Val) &&
-		st.Mutations() == snap.mut {
-		return 0
-	}
-	collected := st.Collect(s.Val, s.Env, s.K)
-	*snap = gcSnapshot{
-		k:        s.K,
-		env:      s.Env,
-		valClean: valLocFree(s.Val),
-		mut:      st.Mutations(),
-		valid:    true,
-	}
-	return collected
-}
-
-// valLocFree reports whether a value register contributes no GC roots:
-// value.Locations(v, nil) is empty for every case listed here.
-func valLocFree(v value.Value) bool {
-	switch v.(type) {
-	case nil, value.Bool, value.Num, value.Sym, value.Str, value.Char,
-		value.Null, value.Unspecified, value.Undefined, *value.Primop:
-		return true
-	}
-	return false
 }
 
 // contDepth resolves value.Depth(k) through the single-frame memo.

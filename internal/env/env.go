@@ -38,12 +38,16 @@ type rib struct {
 	// accounting behind Figure 7's 1+|Dom ρ| frame charges. Meters price
 	// every environment of every configuration on every transition, so the
 	// charge must stay O(1) even though the backing representation is linked.
-	size int
+	size int32
 	// entries counts the chain's total rib entries, shadowed included.
 	// entries − size is the number of hidden entries, and it never shrinks
 	// from parent to child, so every rib above a shadow-free rib is
 	// shadow-free too.
-	entries int
+	entries int32
+	// top is the newest location the chain binds, hidden entries included
+	// (-1 for none): its age, which the store's collector compares with
+	// the cells that mention it (see Node.Age).
+	top Location
 	// mark is the last epoch that delivered this rib (see Epoch). On a
 	// shadow-free rib it means the rib and its whole upward chain were
 	// delivered; on a shadowed rib, that the chain's visible bindings were.
@@ -102,9 +106,12 @@ func (e Env) ExtendSyms(syms []Symbol, locs []Location) Env {
 	if len(syms) == 0 {
 		return e
 	}
-	size, entries := 0, len(syms)
+	size, entries, top := int32(0), int32(len(syms)), Location(-1)
 	if e.r != nil {
-		size, entries = e.r.size, e.r.entries+len(syms)
+		size, entries, top = e.r.size, e.r.entries+int32(len(syms)), e.r.top
+	}
+	for _, l := range locs {
+		top = max(top, l)
 	}
 	// Count the genuinely new identifiers: a name already bound below, or
 	// repeated later in this same rib, does not grow |Dom ρ|.
@@ -119,7 +126,7 @@ fresh:
 			size++
 		}
 	}
-	return Env{r: &rib{syms: syms, locs: locs, up: e.r, size: size, entries: entries}}
+	return Env{r: &rib{syms: syms, locs: locs, up: e.r, size: size, entries: entries, top: top}}
 }
 
 // RestrictSyms returns ρ restricted to the given identifiers (duplicates
@@ -158,7 +165,8 @@ func flatEnv(syms []Symbol, locs []Location) Env {
 	if len(syms) == 0 {
 		return Env{}
 	}
-	return Env{r: &rib{syms: syms, locs: locs, size: len(syms), entries: len(syms)}}
+	n := int32(len(syms))
+	return Env{r: &rib{syms: syms, locs: locs, size: n, entries: n, top: slices.Max(locs)}}
 }
 
 // Size is |Dom ρ|, the flat-environment space charge, read from the cached
@@ -167,7 +175,7 @@ func (e Env) Size() int {
 	if e.r == nil {
 		return 0
 	}
-	return e.r.size
+	return int(e.r.size)
 }
 
 // IsEmpty reports whether ρ = { }.

@@ -174,6 +174,16 @@ func (d *DeltaMeter) Flat(val value.Value, rho env.Env, k value.Cont, st *value.
 	return total.At(d.M.PtrWidth(st))
 }
 
+// Release hands the linked account's tables to the next run; the store
+// calls it when its run ends (value.Store.Release). A later Linked call
+// rebuilds the account from the store.
+func (d *DeltaMeter) Release() {
+	if d.linked != nil {
+		d.linked.release()
+		d.linked = nil
+	}
+}
+
 // Linked reads Figure 8 space from the reference-counted account (see the
 // type comment), building it on first use, and collapses it at the model's
 // pointer width for the live store. It must be bit-identical to

@@ -54,17 +54,18 @@ func TestFramePartsMatchContLocations(t *testing.T) {
 				k = frame(k)
 			}
 		}
-		got := c.appendRoots(k, env.Unstamped, nil)
+		c.sync(k)
+		got := c.appendRoots(env.Unstamped, nil)
 		want := ContLocations(k, env.Unstamped, nil)
 		slices.Sort(got)
 		slices.Sort(want)
 		if !slices.Equal(got, want) {
 			t.Fatalf("step %d: cached roots %v, want %v", step, got, want)
 		}
-		i := len(c) - 1
+		i := len(c.fs) - 1
 		for f := k; f != nil; f = f.Next() {
-			if i < 0 || c[i].k != f {
-				t.Fatalf("step %d: the cache does not mirror κ at depth %d", step, len(c)-1-i)
+			if i < 0 || c.fs[i].k != f {
+				t.Fatalf("step %d: the cache does not mirror κ at depth %d", step, len(c.fs)-1-i)
 			}
 			i--
 		}
