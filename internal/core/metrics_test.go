@@ -52,9 +52,9 @@ func TestRuleCountersSumToStepsAcrossCorpus(t *testing.T) {
 // exactly one transition event per step, each tagged with a real rule, in
 // step order.
 func TestTransitionEventsMatchSteps(t *testing.T) {
-	ring := obs.NewRing(1 << 20)
+	sink := &sliceSink{}
 	res, err := RunApplication(countdownLoop, numInput(25), Options{
-		Variant: Tail, Events: ring,
+		Variant: Tail, Events: sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestTransitionEventsMatchSteps(t *testing.T) {
 		t.Fatal(res.Err)
 	}
 	var transitions []obs.Event
-	for _, e := range ring.Events() {
+	for _, e := range sink.events {
 		if e.Type == obs.EventTransition {
 			transitions = append(transitions, e)
 		}
@@ -143,13 +143,13 @@ func TestAttributePeakOffLeavesPeakNil(t *testing.T) {
 // allocating expression attached, and only program allocations are streamed
 // (the globals predate the tap).
 func TestAllocEventsAttributedToExpressions(t *testing.T) {
-	ring := obs.NewRing(1 << 20)
-	_, err := RunProgram(`(cons 1 (cons 2 (quote ())))`, Options{Variant: Tail, Events: ring})
+	sink := &sliceSink{}
+	_, err := RunProgram(`(cons 1 (cons 2 (quote ())))`, Options{Variant: Tail, Events: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := 0
-	for _, e := range ring.Events() {
+	for _, e := range sink.events {
 		if e.Type != obs.EventAlloc {
 			continue
 		}

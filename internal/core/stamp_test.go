@@ -10,15 +10,15 @@ import (
 // the run — transitions, GCs, allocations, peaks — carries the trace ID,
 // tying the engine stream to the serving request that started the run.
 func TestTraceIDStampsEveryEvent(t *testing.T) {
-	ring := obs.NewRing(1 << 16)
+	sink := &sliceSink{}
 	res := measure(t, Tail, countdownLoop, 20, func(o *Options) {
-		o.Events = ring
+		o.Events = sink
 		o.TraceID = "req-42"
 	})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	events := ring.Events()
+	events := sink.events
 	if len(events) == 0 {
 		t.Fatal("no events emitted")
 	}
@@ -37,12 +37,12 @@ func TestTraceIDStampsEveryEvent(t *testing.T) {
 // TestEmptyTraceIDLeavesEventsUnstamped: the default (no trace) emits
 // events with an empty Trace field, byte-identical to pre-tracing JSONL.
 func TestEmptyTraceIDLeavesEventsUnstamped(t *testing.T) {
-	ring := obs.NewRing(1 << 16)
-	res := measure(t, Tail, countdownLoop, 10, func(o *Options) { o.Events = ring })
+	sink := &sliceSink{}
+	res := measure(t, Tail, countdownLoop, 10, func(o *Options) { o.Events = sink })
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	for i, e := range ring.Events() {
+	for i, e := range sink.events {
 		if e.Trace != "" {
 			t.Fatalf("event %d has unexpected trace %q", i, e.Trace)
 		}
