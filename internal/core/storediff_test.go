@@ -23,9 +23,10 @@ func (s *sliceSink) Emit(e obs.Event) { s.events = append(s.events, e) }
 // on everything observable — answer, step count, flat/linked/heap peaks,
 // collection totals, the whole metrics registry, and the complete event
 // stream (transitions, GC applications with reclaim counts, allocations with
-// their locations, and peak updates). The arena, the epoch-mark collector,
-// the interned environments, and the root-delta fast path are throughput
-// changes only; any semantic drift shows up here as a first-divergence diff.
+// their locations, and peak updates). The arena, the counting collector
+// (which the map store's tracing checks here) and the interned environments
+// are throughput changes only; any semantic drift shows up here as a
+// first-divergence diff.
 func TestArenaStoreMatchesMapStoreOnCorpus(t *testing.T) {
 	maxSteps := 1_200
 	if testing.Short() {
