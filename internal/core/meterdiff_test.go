@@ -8,6 +8,7 @@ import (
 
 	"tailspace/internal/corpus"
 	"tailspace/internal/env"
+	"tailspace/internal/obs"
 	"tailspace/internal/space"
 	"tailspace/internal/value"
 )
@@ -16,7 +17,9 @@ import (
 // meters on the same store, the incremental DeltaMeter and the FullMeter
 // oracle, and records the first observation where Flat or Linked differ. It
 // returns the DeltaMeter's figures, so the run is the one a default run
-// would make.
+// would make. It is an event sink too: the transition event of every
+// checked observation must carry value.Depth of the κ the meters priced,
+// a count independent of the runner's.
 //
 // every > 1 consults the oracle only on every every-th observation and on
 // each discontinuous continuation jump (call/cc re-entry, an escape out of
@@ -32,6 +35,8 @@ type checkedMeter struct {
 	check   bool
 	checked int
 	prevK   value.Cont
+	depth   int // value.Depth of the checked observation's κ, or -1
+	depths  int // transition events whose depth was checked
 	diff    string
 }
 
@@ -49,9 +54,11 @@ func (m *checkedMeter) Flat(val value.Value, rho env.Env, k value.Cont, st *valu
 	m.check = m.every <= 1 || m.step%m.every == 0 || jumped(m.prevK, k)
 	m.prevK = k
 	got := m.delta.Flat(val, rho, k, st)
+	m.depth = -1
 	if m.check {
 		m.checked++
 		m.compare("Flat", got, m.full.Flat(val, rho, k, st))
+		m.depth = value.Depth(k)
 	}
 	return got
 }
@@ -62,6 +69,18 @@ func (m *checkedMeter) Linked(val value.Value, rho env.Env, k value.Cont, st *va
 		m.compare("Linked", got, m.full.Linked(val, rho, k, st))
 	}
 	return got
+}
+
+// Emit checks the depth a transition event carries; the runner emits it
+// after measuring the configuration the event describes.
+func (m *checkedMeter) Emit(e obs.Event) {
+	if e.Type != obs.EventTransition || m.depth < 0 {
+		return
+	}
+	m.depths++
+	if e.Depth != m.depth && m.diff == "" {
+		m.diff = fmt.Sprintf("step %d: transition event depth %d, value.Depth %d", e.Step, e.Depth, m.depth)
+	}
 }
 
 func (m *checkedMeter) compare(what string, delta, full int) {
@@ -131,23 +150,27 @@ func eachMachineModel(t *testing.T, f func(t *testing.T, c meterCell)) {
 }
 
 // runChecked runs src once in cell c under a checkedMeter and fails the
-// test at the first observation where the meters disagree.
+// test at the first observation where the meters disagree, or where a
+// transition event's depth differs from value.Depth.
 func runChecked(t *testing.T, name, src string, c meterCell, maxSteps, gcEvery, every int) Result {
 	t.Helper()
 	m := newCheckedMeter(c.model, every)
 	res, err := RunProgram(src, Options{
 		Variant: c.v, StackStrict: c.strict, Order: c.order,
 		Measure: true, GCEvery: gcEvery, MaxSteps: maxSteps,
-		CostModel: c.model, Meter: m,
+		CostModel: c.model, Meter: m, Events: m,
 	})
 	if err != nil {
 		t.Fatalf("%s [%s]: %v", name, c, err)
 	}
 	if m.diff != "" {
-		t.Errorf("%s [%s]: meters disagree at %s", name, c, m.diff)
+		t.Errorf("%s [%s]: differs at %s", name, c, m.diff)
 	}
 	if m.checked == 0 {
 		t.Errorf("%s [%s]: no observation was checked", name, c)
+	}
+	if m.depths == 0 && res.Steps > 0 {
+		t.Errorf("%s [%s]: no transition event's depth was checked", name, c)
 	}
 	return res
 }

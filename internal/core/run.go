@@ -175,15 +175,12 @@ type Runner struct {
 	lastExpr ast.Expr
 	nodeIDs  map[ast.Expr]int
 	tap      *allocTap
-	// depthK/depthVal memoize the continuation depth of the previous
-	// observation. One transition moves the continuation by at most one
-	// frame (push, pop, or replace-top), so the next depth is one pointer
-	// compare away; only a discontinuous jump — call/cc re-entry, MTA
-	// chain compression — pays the full value.Depth walk, which is
-	// O(depth) per step and used to dominate deep-recursion profiles.
-	depthK     value.Cont
-	depthVal   int
-	depthValid bool
+	// depthK is the continuation of the previous observation and depth its
+	// value.Depth, carried to the next through value.Moved: O(1) per
+	// transition, a full walk only on a jump (call/cc re-entry, MTA
+	// compression).
+	depthK value.Cont
+	depth  int
 }
 
 // NewRunner prepares a run of program expression e applied under opts. The
@@ -326,23 +323,18 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 	}
 }
 
-// contDepth resolves value.Depth(k) through the single-frame memo.
+// contDepth returns value.Depth(k), carried from the previous observation.
 func (r *Runner) contDepth(k value.Cont) int {
+	fresh, popped, ok := value.Moved(r.depthK, k)
 	switch {
-	case r.depthValid && k == r.depthK:
-		// Same continuation (tail transitions): depth unchanged.
-	case r.depthValid && k != nil && k.Next() == r.depthK:
-		r.depthVal++ // one frame pushed
-	case r.depthValid && r.depthK != nil && r.depthK.Next() == k:
-		r.depthVal-- // one frame popped
-	case r.depthValid && k != nil && r.depthK != nil && k.Next() == r.depthK.Next():
-		// Top frame replaced (push-next, select): depth unchanged.
-	default:
-		r.depthVal = value.Depth(k)
+	case !ok:
+		r.depth = 0
+	case popped:
+		r.depth--
 	}
+	r.depth += fresh
 	r.depthK = k
-	r.depthValid = true
-	return r.depthVal
+	return r.depth
 }
 
 // observe samples the configuration s that rule just produced: peaks and

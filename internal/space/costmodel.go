@@ -72,9 +72,9 @@ type CostModel interface {
 	Num(n value.Num) Cost
 	// Value prices a value's own cells under flat (Figure 7) accounting.
 	// Escape procedures are priced as their one-word shell only — the
-	// retained continuation is charged by the caller (the Measurer walks it,
-	// the DeltaMeter reads its memo) — and closures include their copied
-	// environment as Env.Size() bindings.
+	// retained continuation is charged by the caller (Measurer.Value walks
+	// it) — and closures include their copied environment as Env.Size()
+	// bindings.
 	Value(v value.Value) Cost
 	// Frame prices a single continuation frame (the per-frame increment of
 	// space(κ)) from its value.Parts: a one-word header, its pending code,

@@ -12,10 +12,11 @@ import (
 // Two implementations exist. FullMeter recomputes Figure 7/8 space from
 // scratch on every observation: O(configuration) per transition, kept as the
 // oracle. DeltaMeter maintains both accounts incrementally through the
-// store's alloc/write/delete hooks, a continuation memo (Figure 7) and
-// reference counts (Figure 8), so a transition costs O(cells and frames
-// touched). The two are differentially tested to agree on every
-// observation over the whole corpus, under every cost model.
+// store's alloc/write/delete hooks, the frames that joined and left κ since
+// the last observation (Figure 7) and reference counts (Figure 8), so a
+// transition costs O(cells and frames touched). The two are differentially
+// tested to agree on every observation over the whole corpus, under every
+// cost model.
 //
 // A Meter instance carries per-run state and must not be shared between
 // concurrent runs; the Runner builds a fresh one per run unless the caller
@@ -58,33 +59,27 @@ func (f *FullMeter) Linked(val value.Value, rho env.Env, k value.Cont, st *value
 	return f.M.Linked(val, rho, k, st)
 }
 
-// deltaMemoLimit bounds the continuation memo. Continuation frames are
-// immutable, so entries never go stale — the limit only bounds memory on
-// very long runs. When it trips, the memo is rebuilt lazily along the live
-// chain; peaks are unaffected. A rebuilt memo may grow to twice its rebuilt
-// size, and never less than the limit, before the next reset, so a live
-// chain deeper than the limit costs amortized O(1) per push instead of a
-// re-walk on every push.
-const deltaMemoLimit = 1 << 17
-
 // DeltaMeter maintains the Figure 7 and Figure 8 accounts incrementally.
 // Figure 7:
 //
 //   - the store term Σ (1 + space(σ(α))) is kept as a running total updated
 //     through the StoreObserver hooks, so it is O(1) to read and O(cells
 //     touched) to maintain;
-//   - the continuation term space(κ) is memoized per frame: frames are
-//     immutable and chain through Next(), so the cumulative space below any
-//     frame is computed once, making the per-transition cost O(frames pushed
-//     since the last observation) — amortized O(1);
+//   - the continuation term space(κ) is carried from one observation to the
+//     next: value.Moved names the frames that left and joined κ, and only
+//     those are priced, so a transition, which moves at most the top frame,
+//     costs O(1); a jump (an escape, MTA compression) prices all of κ again;
 //   - the environment term |Dom ρ| reads the rib-size account cached by
 //     internal/env at construction.
 //
-// The running totals and the memo are Cost values — (unit words, pointer
-// words) pairs — not collapsed integers. That makes the meter exact under
-// LogModel, where the pointer width depends on the live-store size at
-// observation time: the components are maintained incrementally (they are
-// plain sums, so deltas are exact) and the width is applied only in Flat.
+// Escape procedures, in the store and in the value register, are priced by
+// Measurer.Value, which walks the continuation they retain.
+//
+// The running totals are Cost values — (unit words, pointer words) pairs —
+// not collapsed integers. That makes the meter exact under LogModel, where
+// the pointer width depends on the live-store size at observation time: the
+// components are maintained incrementally (they are plain sums, so deltas
+// are exact) and the width is applied only in Flat.
 // No approximation or re-pricing epoch is needed; see DESIGN.md §12.
 //
 // Figure 8 (Linked) is a union of binding sets over the whole configuration.
@@ -98,12 +93,11 @@ const deltaMemoLimit = 1 << 17
 type DeltaMeter struct {
 	M Measurer
 
-	st       *value.Store
-	total    Cost // Σ over α ∈ σ of (Cell + space(σ(α))), maintained via hooks
-	contMemo map[value.Cont]Cost
-	memoCap  int // contMemo is reset once it holds more entries than this
-	scratch  []value.Cont
-	linked   *linkedAccount // nil until the first Linked call
+	st     *value.Store
+	total  Cost           // Σ over α ∈ σ of (Cell + space(σ(α))), maintained via hooks
+	k      value.Cont     // the continuation the last Flat call priced
+	kSpace Cost           // its space(κ)
+	linked *linkedAccount // nil until the first Linked call
 }
 
 // NewDeltaMeter returns an incremental Figure 7/8 meter under model (nil
@@ -123,20 +117,19 @@ func (d *DeltaMeter) Attach(st *value.Store) {
 		d.st.RemoveObserver(d)
 	}
 	d.st = st
-	d.contMemo = make(map[value.Cont]Cost)
-	d.memoCap = deltaMemoLimit
 	d.total = Cost{}
+	d.k, d.kSpace = nil, Cost{}
 	d.linked = nil
 	cell := d.M.model().Cell()
 	st.Each(func(_ env.Location, v value.Value) {
-		d.total = d.total.Add(cell).Add(d.valueSpace(v))
+		d.total = d.total.Add(cell).Add(d.M.Value(v))
 	})
 	st.AddObserver(d)
 }
 
 // StoreAlloc implements value.StoreObserver.
 func (d *DeltaMeter) StoreAlloc(_ env.Location, v value.Value) {
-	d.total = d.total.Add(d.M.model().Cell()).Add(d.valueSpace(v))
+	d.total = d.total.Add(d.M.model().Cell()).Add(d.M.Value(v))
 	if d.linked != nil {
 		d.linked.storeAlloc(v)
 	}
@@ -144,7 +137,7 @@ func (d *DeltaMeter) StoreAlloc(_ env.Location, v value.Value) {
 
 // StoreSet implements value.StoreObserver.
 func (d *DeltaMeter) StoreSet(_ env.Location, old, v value.Value) {
-	d.total = d.total.Add(d.valueSpace(v)).Sub(d.valueSpace(old))
+	d.total = d.total.Add(d.M.Value(v)).Sub(d.M.Value(old))
 	if d.linked != nil {
 		d.linked.storeSet(old, v)
 	}
@@ -152,7 +145,7 @@ func (d *DeltaMeter) StoreSet(_ env.Location, old, v value.Value) {
 
 // StoreDelete implements value.StoreObserver.
 func (d *DeltaMeter) StoreDelete(_ env.Location, v value.Value) {
-	d.total = d.total.Sub(d.M.model().Cell()).Sub(d.valueSpace(v))
+	d.total = d.total.Sub(d.M.model().Cell()).Sub(d.M.Value(v))
 	if d.linked != nil {
 		d.linked.storeDelete(v)
 	}
@@ -166,7 +159,7 @@ func (d *DeltaMeter) Flat(val value.Value, rho env.Env, k value.Cont, st *value.
 	md := d.M.model()
 	total := Cost{}.AddScaled(md.Binding(), rho.Size()).Add(d.contSpace(k)).Add(d.total)
 	if val != nil {
-		total = total.Add(d.valueSpace(val))
+		total = total.Add(d.M.Value(val))
 	}
 	if st == nil {
 		st = d.st
@@ -202,49 +195,21 @@ func (d *DeltaMeter) Linked(val value.Value, rho env.Env, k value.Cont, st *valu
 	return d.linked.observe(val, rho, k).At(d.M.PtrWidth(st))
 }
 
-// valueSpace prices a value exactly as Measurer.Value, except that escape
-// procedures, guarded or not, read the continuation memo instead of walking
-// their retained frames.
-func (d *DeltaMeter) valueSpace(v value.Value) Cost {
-	c := d.M.model().Value(v)
-	if esc, ok := heldEscape(v); ok {
-		c = c.Add(d.contSpace(esc.K))
-	}
-	return c
-}
-
-// contSpace returns Figure 7's space(κ) from the memo, computing and caching
-// the cumulative space of any unmemoized suffix. Frames are immutable, so a
-// cached cumulative total never changes.
+// contSpace returns Figure 7's space(κ), carried from the continuation the
+// last call priced: value.Moved names the frames that left and joined, and
+// only those are priced. Measurer.Frame is the oracle's per-frame charge
+// too, so the two meters cannot disagree on a frame.
 func (d *DeltaMeter) contSpace(k value.Cont) Cost {
-	if k == nil {
-		return Cost{}
+	fresh, popped, ok := value.Moved(d.k, k)
+	switch {
+	case !ok:
+		d.kSpace = Cost{}
+	case popped:
+		d.kSpace = d.kSpace.Sub(d.M.Frame(d.k))
 	}
-	if total, ok := d.contMemo[k]; ok {
-		return total
+	for f := k; fresh > 0; f, fresh = f.Next(), fresh-1 {
+		d.kSpace = d.kSpace.Add(d.M.Frame(f))
 	}
-	rebuilt := len(d.contMemo) > d.memoCap
-	if rebuilt {
-		d.contMemo = make(map[value.Cont]Cost)
-	}
-	stack := d.scratch[:0]
-	var base Cost
-	for cur := k; cur != nil; cur = cur.Next() {
-		if total, ok := d.contMemo[cur]; ok {
-			base = total
-			break
-		}
-		stack = append(stack, cur)
-	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		// Measurer.Frame is the oracle's per-frame charge too, so the two
-		// meters cannot disagree on a frame.
-		base = base.Add(d.M.Frame(stack[i]))
-		d.contMemo[stack[i]] = base
-	}
-	d.scratch = stack[:0]
-	if rebuilt {
-		d.memoCap = max(2*len(d.contMemo), deltaMemoLimit)
-	}
-	return base
+	d.k = k
+	return d.kSpace
 }

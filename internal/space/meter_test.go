@@ -73,34 +73,6 @@ func TestDeltaMeterTracksMutationsExactly(t *testing.T) {
 	check("after collect")
 }
 
-// TestDeltaMeterContMemoSurvivesPruning forces the memo over its limit and
-// checks the recomputed chain totals stay identical to the oracle walk.
-func TestDeltaMeterContMemoSurvivesPruning(t *testing.T) {
-	st := value.NewStore()
-	rho := env.Empty()
-	delta := NewDeltaMeter(Fixnum)
-	delta.Attach(st)
-	m := Measurer{Model: Fixnum}
-
-	var k value.Cont = value.Halt{}
-	for i := 0; i < 64; i++ {
-		k = &value.Return{Env: rho, K: k}
-	}
-	if got, want := delta.contSpace(k), m.Cont(k); got != want {
-		t.Fatalf("before pruning: %+v != %+v", got, want)
-	}
-	delta.contMemo = make(map[value.Cont]Cost, deltaMemoLimit+2)
-	for i := 0; i < deltaMemoLimit+1; i++ {
-		delta.contMemo[&value.Return{Env: rho}] = Cost{Units: i}
-	}
-	if got, want := delta.contSpace(&value.Select{Env: rho, K: k}), (Cost{Units: 1}).Add(m.Cont(k)); got != want {
-		t.Fatalf("after pruning: %+v != %+v", got, want)
-	}
-	if len(delta.contMemo) > 70 {
-		t.Fatalf("memo was not pruned: %d entries", len(delta.contMemo))
-	}
-}
-
 // countingModel wraps a cost model with a frame counter that panics once
 // more than budget frames have been priced.
 type countingModel struct {
@@ -116,13 +88,14 @@ func (c *countingModel) Frame(k value.Cont) Cost {
 	return c.CostModel.Frame(k)
 }
 
-// TestDeltaMeterMemoResetIsAmortized pushes and observes a chain deeper than
-// deltaMemoLimit. Each frame is priced when it is pushed and again at most
-// once when the memo resets, so the whole run prices O(frames) frames; a
-// memo that reset on every push past the limit would re-walk the chain
-// each time and blow the budget within a few pushes.
-func TestDeltaMeterMemoResetIsAmortized(t *testing.T) {
-	const frames = deltaMemoLimit + 10_000
+// TestDeltaMeterDeepChainIsAmortized pushes a 141,072-frame chain one
+// frame per observation and then pops it back to halt the same way. The
+// meter prices only the frames that join and leave κ, so each frame is
+// priced once on the way up and once on the way down, within a budget of
+// three pricings per frame; a meter that re-walked κ would blow the budget
+// within a few observations.
+func TestDeltaMeterDeepChainIsAmortized(t *testing.T) {
+	const frames = 141_072
 	model := &countingModel{CostModel: Fixnum, budget: 3 * frames}
 	st := value.NewStore()
 	delta := NewDeltaMeter(model)
@@ -134,7 +107,14 @@ func TestDeltaMeterMemoResetIsAmortized(t *testing.T) {
 		delta.Flat(nil, rho, k, st)
 	}
 	if got, want := delta.contSpace(k), (Measurer{Model: Fixnum}).Cont(k); got != want {
-		t.Fatalf("memoized total %+v, walk %+v", got, want)
+		t.Fatalf("carried total %+v, walk %+v", got, want)
+	}
+	for k.Next() != nil {
+		k = k.Next()
+		delta.Flat(nil, rho, k, st)
+	}
+	if got, want := delta.contSpace(k), (Measurer{Model: Fixnum}).Cont(k); got != want {
+		t.Fatalf("after popping to halt: carried total %+v, walk %+v", got, want)
 	}
 }
 

@@ -73,8 +73,8 @@ func (m Measurer) Cont(k value.Cont) Cost {
 }
 
 // Frame is the charge of a single continuation frame — the per-frame
-// increment of Cont. DeltaMeter's memo and the peak-attribution reports both
-// price frames through this single definition.
+// increment of Cont. DeltaMeter and the peak-attribution reports both price
+// frames through this single definition.
 func (m Measurer) Frame(k value.Cont) Cost { return m.model().Frame(k) }
 
 // Store is Figure 7's space(σ) = Σ over α ∈ σ of (1 + space(σ(α))),

@@ -176,7 +176,7 @@ func TestEscapeCostIncludesContinuation(t *testing.T) {
 // 10-frame continuation in one guard and then in two. Figure 7 charges the
 // retained continuation however deep the guard chain is, so the second
 // guard adds exactly its own shell: a header word and two references. The
-// DeltaMeter's memoized pricing must agree.
+// DeltaMeter must charge the same for each in the value register.
 func TestGuardedEscapeKeepsContinuation(t *testing.T) {
 	rho := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{1})
 	var k value.Cont = value.Halt{}
@@ -194,11 +194,13 @@ func TestGuardedEscapeKeepsContinuation(t *testing.T) {
 	if got, want := word.Value(twice), shell.Add(word.Value(once)); got != want {
 		t.Fatalf("two guards = %+v, want %+v (one guard %+v)", got, want, word.Value(once))
 	}
+	st := value.NewStore()
 	delta := NewDeltaMeter(Word)
-	delta.Attach(value.NewStore())
+	delta.Attach(st)
+	base := delta.Flat(nil, env.Empty(), value.Halt{}, st)
 	for _, v := range []value.Value{esc, once, twice} {
-		if got, want := delta.valueSpace(v), word.Value(v); got != want {
-			t.Fatalf("delta %T = %+v, oracle %+v", v, got, want)
+		if got, want := delta.Flat(v, env.Empty(), value.Halt{}, st)-base, word.Value(v).At(1); got != want {
+			t.Fatalf("delta %T = %d, oracle %d", v, got, want)
 		}
 	}
 }

@@ -71,10 +71,11 @@ func TestArenaNeverReusesLocations(t *testing.T) {
 // root sets, and OccursIn against a brute-force oracle. One arena collects
 // with Reclaim (reference counts), the other with Collect (its tracer), and
 // the map store traces. Writes store pairs, vectors, closures and escapes
-// that point at any cell, older or younger, so they build cycles;
-// collections root through the value register, through ρ (shadow-free and
-// shadowed chains) and through κ (frames holding values and environments,
-// moved by pushes, pops and replacements as transitions move it).
+// that point at any cell, older or younger, so they build cycles, and
+// rings of fresh cells are closed and dropped at once; collections root
+// through the value register, through ρ (shadow-free and shadowed chains)
+// and through κ (frames holding values and environments, moved by pushes,
+// pops and replacements as transitions move it).
 func TestArenaMatchesMapStoreOnRandomOps(t *testing.T) {
 	var total CollectStats
 	for seed := int64(1); seed <= 8; seed++ {
@@ -121,6 +122,15 @@ func randomOps(t *testing.T, seed int64, steps int) CollectStats {
 		}
 		ever = append(ever, lr)
 		return lr
+	}
+	// set writes v to l in every store.
+	set := func(step int, l env.Location, v Value) {
+		rok := ref.Set(l, v)
+		for _, a := range arenas {
+			if aok := a.s.Set(l, v); aok != rok {
+				t.Fatalf("seed %d step %d: Set(%d) %s=%v map=%v", seed, step, l, a.name, aok, rok)
+			}
+		}
 	}
 	// environment builds a chain of one to three ribs over existing cells;
 	// names repeat across ribs, so some chains are shadowed.
@@ -187,25 +197,31 @@ func randomOps(t *testing.T, seed int64, steps int) CollectStats {
 			alloc(step, Num{Int: bigInt(int64(step))})
 			continue
 		}
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(21); {
 		case op < 6: // alloc a value over older cells
 			alloc(step, value(step))
 		case op < 10: // set a cell to a value over any cell
-			l := pick()
-			v := value(step)
-			rok := ref.Set(l, v)
-			for _, a := range arenas {
-				if aok := a.s.Set(l, v); aok != rok {
-					t.Fatalf("seed %d step %d: Set(%d) %s=%v map=%v", seed, step, l, a.name, aok, rok)
-				}
+			set(step, pick(), value(step))
+		case op < 11:
+			// A ring of two or three fresh cells that nothing else refers
+			// to, closed by writes in random order: whether a knot's write
+			// or an ordinary one closes it, nothing on the ring is
+			// decremented before the next collection.
+			ring := make([]env.Location, 2+rng.Intn(2))
+			for i := range ring {
+				ring[i] = alloc(step, Unspecified{})
 			}
-		case op < 11: // delete
+			for _, i := range rng.Perm(len(ring)) {
+				next := ring[(i+1)%len(ring)]
+				set(step, ring[i], Pair{CarLoc: next, CdrLoc: next})
+			}
+		case op < 12: // delete
 			l := pick()
 			ref.Delete(l)
 			for _, a := range arenas {
 				a.s.Delete(l)
 			}
-		case op < 14: // move κ as a transition does
+		case op < 15: // move κ as a transition does
 			switch rng.Intn(3) {
 			case 0:
 				kappa = &Push{Done: []Value{value(step)}, Env: environment(), K: kappa}
@@ -216,7 +232,7 @@ func randomOps(t *testing.T, seed int64, steps int) CollectStats {
 			default:
 				kappa = &Select{Env: environment(), K: kappa}
 			}
-		case op < 19: // collect from the registers
+		case op < 20: // collect from the registers
 			var val Value
 			if rng.Intn(2) == 0 {
 				val = Vector{ElemLocs: []env.Location{pick()}}

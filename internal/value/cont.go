@@ -293,3 +293,31 @@ func Depth(k Cont) int {
 	}
 	return n
 }
+
+// Moved compares k with last, the continuation an earlier look saw, and
+// reports how κ moved in between: fresh frames of k sit above the point
+// where k rejoins last, or last.Next() when popped is set (last's top frame
+// left). A transition of Figure 5 pushes, pops or replaces at most the top
+// frame, and several pushes between two looks are found too. When k rejoins
+// neither, as after an escape, MTA compression or two pops between looks,
+// ok is false and fresh counts every frame of k: whoever follows κ starts
+// over from k. A nil last is the empty continuation, which every k rejoins
+// at its end. The walk stops where k rejoins, so it reads fresh + 1 frames,
+// or all of k on a jump.
+func Moved(last, k Cont) (fresh int, popped, ok bool) {
+	var below Cont
+	if last != nil {
+		below = last.Next()
+	}
+	for f := k; ; f = f.Next() {
+		switch {
+		case f == last:
+			return fresh, false, true
+		case f == below:
+			return fresh, true, true
+		case f == nil:
+			return fresh, false, false
+		}
+		fresh++
+	}
+}

@@ -16,10 +16,10 @@ import (
 // An environment is counted per node (env.RibCounts: a rib of a shadow-free
 // chain, or a shadowed chain's head), the way env.BindingCounts counts the
 // Figure 8 binding union. A frame is counted when an escape retains it; the
-// frames on κ are held positionally instead, through the frame-parts cache,
-// which tells each collection which frames entered and left κ. Every edge is
-// one the tracer follows: value.Locations for values, Parts.appendRoots for
-// frames, AppendLocations for environments.
+// frames on κ are held positionally instead, and each collection asks Moved
+// which frames entered and left κ since the last. Every edge is one the
+// tracer follows: value.Locations for values, Parts.appendRoots for frames,
+// AppendLocations for environments.
 //
 // Counts alone miss cycles, and an age argument confines them. Give a cell
 // its location as age and an environment node the newest location its chain
@@ -150,9 +150,10 @@ type countAccount struct {
 	flags  []uint8 // per location
 	envs   *env.RibCounts
 	frames map[Cont]int32 // frames retained by escapes
-	kappa  frameParts     // frames on κ, held positionally
-	val    Value          // the registers the counts hold
-	rho    env.Env
+	// The registers the counts hold; the frames on κ are held positionally.
+	val Value
+	rho env.Env
+	k   Cont
 
 	zct       []env.Location // cells whose count reached zero, and new cells
 	cands     []env.Location
@@ -191,8 +192,7 @@ func newEmptyAccount() *countAccount {
 // and the number of cells the trace freed.
 func newCountAccount(s *Store, val Value, rho env.Env, k Cont) (*countAccount, int) {
 	a := accountPool.Get().(*countAccount)
-	a.s, a.val, a.rho = s, val, rho
-	a.kappa.sync(k)
+	a.s, a.val, a.rho, a.k = s, val, rho, k
 	freed := a.trace()
 	a.lo, a.hi = math.MaxInt, -1
 	a.grow(len(s.vals))
@@ -204,19 +204,16 @@ func newCountAccount(s *Store, val Value, rho env.Env, k Cont) (*countAccount, i
 	}
 	a.valueEdges(val, opAcquire)
 	a.envEdge(rho.Node(), opAcquire)
-	for i := range a.kappa.fs {
-		a.partsEdges(&a.kappa.fs[i].p, opAcquire)
-	}
+	a.contEdges(k, -1, opAcquire)
 	return a, freed
 }
 
 // release empties the account into the pool.
 func (a *countAccount) release() {
-	a.s, a.val, a.rho = nil, nil, env.Env{}
+	a.s, a.val, a.rho, a.k = nil, nil, env.Env{}, nil
 	a.rc, a.flags = a.rc[:0], a.flags[:0]
 	a.envs.Reset()
 	clear(a.frames)
-	a.kappa.reset()
 	a.zct, a.cands, a.envCands, a.knots = a.zct[:0], a.cands[:0], a.envCands[:0], a.knots[:0]
 	a.frameFell, a.knotsStale = false, false
 	accountPool.Put(a)
@@ -398,22 +395,21 @@ func (a *countAccount) swap(val Value, rho env.Env, k Cont) {
 	if rho != a.rho {
 		a.envEdge(rho.Node(), opAcquire)
 	}
-	keep := a.kappa.sync(k)
-	for i := keep; i < len(a.kappa.fs); i++ {
-		a.partsEdges(&a.kappa.fs[i].p, opAcquire)
+	fresh, popped, ok := Moved(a.k, k)
+	a.contEdges(k, fresh, opAcquire)
+	switch {
+	case !ok:
+		a.contEdges(a.k, -1, opRelease)
+	case popped:
+		a.contEdges(a.k, 1, opRelease)
 	}
-	for i := range a.kappa.gone {
-		a.partsEdges(&a.kappa.gone[i].p, opRelease)
-	}
-	clear(a.kappa.gone)
-	a.kappa.gone = a.kappa.gone[:0]
 	if !sameVal {
 		a.valueEdges(a.val, opRelease)
 	}
 	if rho != a.rho {
 		a.envEdge(a.rho.Node(), opRelease)
 	}
-	a.val, a.rho = val, rho
+	a.val, a.rho, a.k = val, rho, k
 }
 
 // sameRefs reports whether two register values are one value as far as its
@@ -468,7 +464,7 @@ func (a *countAccount) trace() int {
 	ep := env.NewEpoch()
 	roots := Locations(a.val, ep, a.s.gcStack[:0])
 	roots = a.rho.AppendLocations(ep, roots)
-	n := a.s.sweep(ep, a.kappa.appendRoots(ep, roots))
+	n := a.s.sweep(ep, ContLocations(a.k, ep, roots))
 	a.zct = a.zct[:0]
 	a.clearCands()
 	return n
@@ -529,6 +525,15 @@ func (a *countAccount) partsEdges(p *Parts, op edgeOp) {
 	for _, c := range p.Checks {
 		a.valueEdges(c.Ctc, op)
 		a.valueEdges(c.Src, op)
+	}
+}
+
+// contEdges applies op to what the top n frames of k hold, or every frame
+// of k when n is negative.
+func (a *countAccount) contEdges(k Cont, n int, op edgeOp) {
+	for ; k != nil && n != 0; k, n = k.Next(), n-1 {
+		p := k.Parts()
+		a.partsEdges(&p, op)
 	}
 }
 

@@ -321,74 +321,6 @@ func (s *Store) markReachable(ep env.Epoch, stack []env.Location) (live int) {
 	return live
 }
 
-// frameParts keeps the parts of the frames on κ at the count account's
-// last collection, bottom frame first, so a collection reads Parts only
-// from the frames pushed since and learns which frames left. Frames are
-// immutable, so a frame's parts hold for as long as it stays on κ, and one
-// transition pushes, pops or replaces at most the top frame. Any other
-// change to κ (an escape, MTA compression) finds no match near the top and
-// rebuilds the whole cache.
-type frameParts struct {
-	fs []cachedFrame
-	// gone holds the frames the last sync took off κ, with their parts,
-	// until the next sync: the account releases what they held.
-	gone []cachedFrame
-}
-
-type cachedFrame struct {
-	k Cont
-	p Parts
-}
-
-// frameMatchWindow is how many of the cached top frames each frame of κ is
-// compared against: the last collection's top frame (κ unchanged or pushed
-// on) and the one below it (popped or replaced).
-const frameMatchWindow = 2
-
-// sync makes the cache describe κ and returns the index of the first frame
-// pushed since the last sync; the frames that left κ are in gone.
-func (c *frameParts) sync(k Cont) int {
-	fs := c.fs
-	keep, fresh := 0, 0
-walk:
-	for f := k; f != nil; f = f.Next() {
-		for i := len(fs) - 1; i >= max(len(fs)-frameMatchWindow, 0); i-- {
-			if fs[i].k == f {
-				keep = i + 1
-				break walk
-			}
-		}
-		fresh++
-	}
-	// Clear the frames no longer on κ so the cache does not keep them alive
-	// past the next sync.
-	clear(c.gone)
-	c.gone = append(c.gone[:0], fs[keep:]...)
-	clear(fs[keep:])
-	fs = slices.Grow(fs[:keep], fresh)[:keep+fresh]
-	for i, f := len(fs)-1, k; i >= keep; i, f = i-1, f.Next() {
-		fs[i] = cachedFrame{k: f, p: f.Parts()}
-	}
-	c.fs = fs
-	return keep
-}
-
-// appendRoots appends the roots of the cached frames to out, as
-// ContLocations does for the continuation they describe.
-func (c *frameParts) appendRoots(ep env.Epoch, out []env.Location) []env.Location {
-	for i := range c.fs {
-		out = c.fs[i].p.appendRoots(ep, out)
-	}
-	return out
-}
-
-// reset empties the cache, keeping its memory.
-func (c *frameParts) reset() {
-	clear(c.fs)
-	clear(c.gone)
-	c.fs, c.gone = c.fs[:0], c.gone[:0]
-}
-
 // reachMap is the map reference's trace: a depth-first search from the
 // locations on stack with a seen set.
 func (s *Store) reachMap(stack []env.Location) map[env.Location]bool {
