@@ -136,18 +136,12 @@ func (c *FreeVarCache) FreeSymsUnion(a, b Expr) []env.Symbol {
 	return mergeSyms(c.FreeSyms(a), c.FreeSyms(b))
 }
 
-// FreeSymsOfAll returns the union of FV over several expressions as a
-// sorted symbol slice (shared when the union is a single memoized set).
-func (c *FreeVarCache) FreeSymsOfAll(exprs []Expr) []env.Symbol {
-	switch len(exprs) {
-	case 0:
-		return nil
-	case 1:
-		return c.FreeSyms(exprs[0])
-	}
-	out := mergeSyms(c.FreeSyms(exprs[0]), c.FreeSyms(exprs[1]))
-	for _, e := range exprs[2:] {
-		out = mergeSyms(out, c.FreeSyms(e))
+// FreeSymsAt returns the union of FV(exprs[i]) over i ∈ at as a sorted
+// symbol slice (shared when the union is a single memoized set).
+func (c *FreeVarCache) FreeSymsAt(exprs []Expr, at []int) []env.Symbol {
+	var out []env.Symbol
+	for _, i := range at {
+		out = mergeSyms(out, c.FreeSyms(exprs[i]))
 	}
 	return out
 }

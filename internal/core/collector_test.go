@@ -21,7 +21,8 @@ import (
 // set-cdr! ring per iteration, vectors holding themselves, a knot reachable
 // only through an escape stored by set!, generators whose escapes are
 // re-entered and then dropped with the generator, knots made and dropped
-// between two collections, and a cycle through a continuation frame.
+// between two collections, a cycle through a continuation frame, and push
+// frames re-entered after their call returned.
 var collectorEdgeCases = []struct{ name, src, answer string }{
 	{"inner-define-loop", `
 (define (run n acc)
@@ -120,6 +121,9 @@ var collectorEdgeCases = []struct{ name, src, answer string }{
     n))
 (define (loop n acc) (if (zero? n) acc (loop (- n 1) (+ acc (mk n)))))
 (loop 40 0)`, "820"},
+	// Two push frames of one call evaluation, each re-entered through an
+	// escape after the call has returned.
+	{"reentered-push-frames", reenteredPushFrame, "((1 20) 3)"},
 }
 
 // collectorGCEvery are the GC-rule periods the collector tests run: every

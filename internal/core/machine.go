@@ -140,22 +140,9 @@ func (m *Machine) stepExpr(s State) (State, bool, error) {
 
 	case *ast.Call:
 		m.lastRule = RuleCall
-		order := m.evalOrder(len(e.Exprs))
-		first := order[0]
-		rest := make([]ast.Expr, len(order)-1)
-		restIdx := make([]int, len(order)-1)
-		for i, idx := range order[1:] {
-			rest[i] = e.Exprs[idx]
-			restIdx[i] = idx
-		}
-		k := &value.Push{
-			Rest:    rest,
-			RestIdx: restIdx,
-			CurIdx:  first,
-			Env:     m.pushEnv(s.Env, rest),
-			K:       s.K,
-		}
-		return EvalState(e.Exprs[first], s.Env, k), false, nil
+		pi := m.evalOrder(len(e.Exprs))
+		k := value.NewPush(e.Exprs, pi, nil, m.pushEnv(s.Env, e.Exprs, pi[1:]), s.K)
+		return EvalState(e.Exprs[pi[0]], s.Env, k), false, nil
 
 	case *ast.Mon:
 		// (mon ctc e): evaluate the contract first; the mon-ctc frame
@@ -173,13 +160,14 @@ func (m *Machine) stepExpr(s State) (State, bool, error) {
 	return s, false, m.stuck("unknown expression form %T", s.Expr)
 }
 
-// pushEnv chooses the environment stored in a push continuation: the full ρ
-// for Z_tail; the empty environment when no expressions remain for Z_evlis;
-// ρ restricted to the free variables of the remaining expressions for Z_sfs.
-func (m *Machine) pushEnv(rho env.Env, rest []ast.Expr) env.Env {
+// pushEnv chooses the environment stored in a push continuation whose
+// subexpressions exprs[i], i ∈ rest, are still to evaluate: the full ρ for
+// Z_tail; the empty environment when none remain for Z_evlis; ρ restricted
+// to their free variables for Z_sfs.
+func (m *Machine) pushEnv(rho env.Env, exprs []ast.Expr, rest []int) env.Env {
 	switch {
 	case m.variant.RestrictConts:
-		return rho.RestrictSyms(m.fv.FreeSymsOfAll(rest))
+		return rho.RestrictSyms(m.fv.FreeSymsAt(exprs, rest))
 	case m.variant.EvlisLastEnv && len(rest) == 0:
 		return env.Empty()
 	default:
@@ -217,36 +205,17 @@ func (m *Machine) stepValue(s State) (State, bool, error) {
 		return ValueState(value.Unspecified{}, k.Env, k.K), false, nil
 
 	case *value.Push:
-		done := make([]value.Value, len(k.Done)+1)
-		copy(done, k.Done)
-		done[len(k.Done)] = s.Val
-		doneIdx := make([]int, len(k.DoneIdx)+1)
-		copy(doneIdx, k.DoneIdx)
-		doneIdx[len(k.DoneIdx)] = k.CurIdx
-
-		if len(k.Rest) > 0 {
+		rec := k.Deliver(s.Val)
+		if n := k.N + 1; n < len(rec.Pi) {
 			m.lastRule = RulePushNext
-			nextExpr := k.Rest[0]
-			rest := k.Rest[1:]
-			nk := &value.Push{
-				Rest:    rest,
-				RestIdx: k.RestIdx[1:],
-				Done:    done,
-				DoneIdx: doneIdx,
-				CurIdx:  k.RestIdx[0],
-				Env:     m.pushEnv(k.Env, rest),
-				K:       k.K,
-			}
-			return EvalState(nextExpr, k.Env, nk), false, nil
+			nk := &value.Push{Rec: rec, N: n, Env: m.pushEnv(k.Env, rec.Exprs, rec.Pi[n+1:]), K: k.K}
+			return EvalState(rec.Exprs[rec.Pi[n]], k.Env, nk), false, nil
 		}
 
-		// All subexpressions evaluated: reassemble in source order and
-		// deliver the operator with a call continuation.
+		// All subexpressions evaluated: deliver the operator, with the
+		// operands in source order, to a call continuation.
 		m.lastRule = RulePushCall
-		vals := make([]value.Value, len(done))
-		for i, idx := range doneIdx {
-			vals[idx] = done[i]
-		}
+		vals := rec.Values()
 		return ValueState(vals[0], k.Env, &value.Call{Args: vals[1:], K: k.K}), false, nil
 
 	case *value.Call:
@@ -440,23 +409,39 @@ func (m *Machine) stackReturn(s State, k *value.ReturnStack) (State, bool, error
 	return ValueState(s.Val, k.Env, k.K), false, nil
 }
 
-// evalOrder chooses the permutation π for a call with n subexpressions.
+// orderTable bounds the calls whose π a fixed order shares; a longer call
+// builds its own.
+const orderTable = 256
+
+// leftToRight and rightToLeft hold π for the two fixed orders, shared
+// read-only: n subexpressions evaluate in the order leftToRight[:n] or
+// rightToLeft[orderTable-n:].
+var leftToRight, rightToLeft = func() (ltr, rtl []int) {
+	ltr, rtl = make([]int, orderTable), make([]int, orderTable)
+	for i := range orderTable {
+		ltr[i], rtl[i] = i, orderTable-1-i
+	}
+	return ltr, rtl
+}()
+
+// evalOrder chooses the permutation π for a call with n subexpressions. The
+// result is shared and must not be written.
 func (m *Machine) evalOrder(n int) []int {
+	if m.order != RandomOrder && n <= orderTable {
+		if m.order == RightToLeft {
+			return rightToLeft[orderTable-n:]
+		}
+		return leftToRight[:n:n]
+	}
 	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
 	switch m.order {
 	case RightToLeft:
-		for i := range order {
-			order[i] = n - 1 - i
-		}
+		slices.Reverse(order)
 	case RandomOrder:
-		for i := range order {
-			order[i] = i
-		}
-		m.store.Rand.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	default:
-		for i := range order {
-			order[i] = i
-		}
+		m.store.Rand().Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 	return order
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"tailspace/internal/expand"
 )
 
 // runSrc evaluates program source under a variant and returns the answer.
@@ -151,6 +154,64 @@ func TestCallCCStoredAndReused(t *testing.T) {
     (set! count (+ count 1))
     (if (< x 3) (saved (+ x 1)) (list x count))))`
 	wantAnswerAll(t, src, "(3 4)")
+}
+
+// reenteredPushFrame re-enters two push frames of one call evaluation
+// through escapes: k1 awaits the list's first operand, k2 its second. When k2
+// is resumed last, the value k1's re-entry delivered must not show through:
+// under LeftToRight k2's frame holds the first operand's value 1, as it did
+// when it was built.
+const reenteredPushFrame = `
+(define k1 #f) (define k2 #f) (define n 0)
+(define (f) (list (call/cc (lambda (k) (if (not k1) (set! k1 k)) 1))
+                  (call/cc (lambda (k) (if (not k2) (set! k2 k)) 2))))
+(define r (f)) (set! n (+ n 1))
+(cond ((= n 1) (k1 10)) ((= n 2) (k2 20)) (else (list r n)))`
+
+func TestReenteredPushFrameKeepsItsValues(t *testing.T) {
+	for _, v := range AllVariants {
+		for _, order := range []ArgOrder{LeftToRight, RightToLeft} {
+			res, err := RunProgram(reenteredPushFrame, Options{Variant: v, Order: order})
+			if err != nil || res.Err != nil {
+				t.Fatalf("[%s] order %v: %v %v", v, order, err, res.Err)
+			}
+			if res.Answer != "((1 20) 3)" {
+				t.Errorf("[%s] order %v: answer %s, want ((1 20) 3)", v, order, res.Answer)
+			}
+		}
+	}
+}
+
+// TestCallAllocationsPerOperand pins what an operand costs the Go heap on
+// an answer-only run: one push frame. The push frames of one call
+// evaluation share one record, so a push transition copies none of the
+// values so far and the fixed orders build no π. Sixteen more operands may
+// add sixteen frames and a little slack.
+func TestCallAllocationsPerOperand(t *testing.T) {
+	allocs := func(order ArgOrder, n int) float64 {
+		params, args := make([]string, n), make([]string, n)
+		for i := range n {
+			params[i], args[i] = fmt.Sprintf("a%d", i), fmt.Sprint(i)
+		}
+		e, err := expand.ParseProgram(fmt.Sprintf("((lambda (%s) 0) %s)",
+			strings.Join(params, " "), strings.Join(args, " ")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Variant: Tail, Order: order}
+		return testing.AllocsPerRun(20, func() {
+			if res := NewRunner(opts).Run(e); res.Err != nil || res.Answer != "0" {
+				t.Fatalf("n = %d, order %v: %v %s", n, order, res.Err, res.Answer)
+			}
+		})
+	}
+	for _, order := range []ArgOrder{LeftToRight, RightToLeft} {
+		small, large := allocs(order, 8), allocs(order, 24)
+		if large-small > 18 {
+			t.Errorf("order %v: %v heap objects at n = 8, %v at n = 24: 16 operands cost %v, want at most 18",
+				order, small, large, large-small)
+		}
+	}
 }
 
 func TestArgumentOrderPermutations(t *testing.T) {

@@ -204,8 +204,9 @@ func TestDeltaMeterMatchesFullMeterOnCorpus(t *testing.T) {
 // accountEdgeCases are programs aimed at the ways the Figure 8 account can
 // drift: cells whose value switches between closures and numbers, cells
 // deleted by Z_stack while they hold the only closure over a rib, shadowed
-// rib chains (which the account counts per environment, not per rib), and
-// escapes re-entered and kept in cells.
+// rib chains (which the account counts per environment, not per rib),
+// escapes re-entered and kept in cells, and push frames re-entered after
+// their call returned.
 var accountEdgeCases = []struct {
 	name, src, answer string
 }{
@@ -255,6 +256,7 @@ var accountEdgeCases = []struct {
       (if resume (resume #f) (walk lst))))))
 (define g (make-gen '(1 2 3)))
 (let* ((a (g)) (b (g)) (c (g)) (d (g))) (list a b c d))`, "(1 2 3 done)"},
+	{"reentered-push-frames", reenteredPushFrame, "((1 20) 3)"},
 }
 
 // TestLinkedAccountEdgeCases checks the edge-case programs, and the

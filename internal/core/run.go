@@ -219,7 +219,7 @@ func (r *Runner) Run(e ast.Expr) (res Result) {
 		rho0, st = prim.Global()
 	}
 	if r.opts.Seed != 0 {
-		st.Rand.Seed(r.opts.Seed)
+		st.Seed(r.opts.Seed)
 	}
 	r.machine = NewMachine(r.opts.Variant, st)
 	r.machine.SetOrder(r.opts.Order)

@@ -117,8 +117,8 @@ func snapshotFrame(k value.Cont, charge int) Frame {
 		f.Pending = Abbrev("(set! "+x.Name+" ·)", 60)
 	case *value.Push:
 		f.Kind = "push"
-		if len(x.Rest) > 0 {
-			f.Pending = Abbrev(x.Rest[0].String(), 60)
+		if next := x.N + 1; next < len(x.Rec.Pi) {
+			f.Pending = Abbrev(x.Rec.Exprs[x.Rec.Pi[next]].String(), 60)
 		}
 	case *value.Call:
 		f.Kind = "call"

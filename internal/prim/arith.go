@@ -208,7 +208,7 @@ func registerArith() {
 		if n.Int.Sign() <= 0 || !n.Int.IsInt64() {
 			return nil, errf("random", "bound must be a positive fixnum")
 		}
-		return value.NewNum(st.Rand.Int63n(n.Int.Int64())), nil
+		return value.NewNum(st.Rand().Int63n(n.Int.Int64())), nil
 	})
 }
 

@@ -48,7 +48,22 @@ func init() {
 	registerControl()
 	registerStrings()
 	registerContracts()
+
+	names := Names()
+	sort.Strings(names)
+	globalSyms = env.InternAll(names)
+	for _, n := range names {
+		globalPrims = append(globalPrims, registry[n])
+	}
 }
+
+// globalPrims are the primitives in sorted name order and globalSyms their
+// interned names, built once the registry is complete. Every run's ρ0 binds
+// them in this order over a rib of its own, since collections stamp ribs.
+var (
+	globalSyms  []env.Symbol
+	globalPrims []*value.Primop
+)
 
 // Lookup returns the primitive with the given name.
 func Lookup(name string) (*value.Primop, bool) {
@@ -76,16 +91,11 @@ func Global() (env.Env, *value.Store) {
 // order so two runs — and two store representations — number ρ0's locations
 // identically; whole-run reproducibility starts here.
 func GlobalInto(st *value.Store) (env.Env, *value.Store) {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	locs := make([]env.Location, len(globalPrims))
+	for i, p := range globalPrims {
+		locs[i] = st.Alloc(p)
 	}
-	sort.Strings(names)
-	locs := make([]env.Location, len(names))
-	for i, n := range names {
-		locs[i] = st.Alloc(registry[n])
-	}
-	return env.Empty().ExtendSyms(env.InternAll(names), locs), st
+	return env.Empty().ExtendSyms(globalSyms, locs), st
 }
 
 // Argument helpers shared by the primitive implementations.

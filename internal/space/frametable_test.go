@@ -56,10 +56,9 @@ func TestFrameTable(t *testing.T) {
 		{name: "assign", k: &value.Assign{Name: "x", Sym: env.Intern("x"), Env: rho, K: halt},
 			flat: Cost{3, 2}, linked: Cost{1, 0}, envs: []env.Env{rho},
 			roots: []env.Location{1, 2}, ablated: []env.Location{1, 2}},
-		{name: "push", k: &value.Push{
-			Rest: []ast.Expr{e("c"), e("d"), e("f")}, RestIdx: []int{3, 4, 5},
-			Done: []value.Value{clo, pair}, DoneIdx: []int{0, 1}, CurIdx: 2,
-			Env: rho, K: halt},
+		{name: "push", k: value.NewPush(
+			[]ast.Expr{e("a"), e("b"), e("x"), e("c"), e("d"), e("f")}, []int{0, 1, 2, 3, 4, 5},
+			[]value.Value{clo, pair}, rho, halt),
 			// 1 + m(3) + n(2) + |Dom ρ|(2).
 			flat: Cost{6, 4}, linked: Cost{4, 2}, envs: []env.Env{rho, cloEnv},
 			roots:   []env.Location{1, 2, 7, 8, 20, 21},

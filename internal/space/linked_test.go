@@ -64,11 +64,9 @@ func TestLinkedPushHoldsClosuresByReference(t *testing.T) {
 	rho := env.Empty().ExtendSyms(env.InternAll([]string{"v"}), []env.Location{5})
 	cl := value.Closure{Lam: &ast.Lambda{}, Env: rho}
 	w := newLinkedWalker(Word)
-	k := &value.Push{
-		Rest: []ast.Expr{&ast.Var{Name: "e"}}, RestIdx: []int{1},
-		Done: []value.Value{cl}, DoneIdx: []int{0},
-		Env: env.Empty(), K: value.Halt{},
-	}
+	k := value.NewPush(
+		[]ast.Expr{&ast.Var{Name: "f"}, &ast.Var{Name: "d"}, &ast.Var{Name: "e"}}, []int{0, 1, 2},
+		[]value.Value{cl}, env.Empty(), value.Halt{})
 	// push: 1 + m(1) + n(1), halt: 1; the closure's payload is not charged
 	// again but its bindings enter the global set.
 	if got := w.contSpace(k).At(1); got != 4 {

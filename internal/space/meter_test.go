@@ -21,11 +21,9 @@ func buildConfig() (value.Value, env.Env, value.Cont, *value.Store) {
 	var k value.Cont = value.Halt{}
 	k = &value.Return{Env: rho, K: k}
 	k = &value.Call{Args: []value.Value{value.NewNum(3)}, K: k}
-	k = &value.Push{
-		Rest: []ast.Expr{&ast.Var{Name: "e"}}, RestIdx: []int{1},
-		Done: []value.Value{value.Bool(true)}, DoneIdx: []int{0},
-		Env: rho, K: k,
-	}
+	k = value.NewPush(
+		[]ast.Expr{&ast.Var{Name: "f"}, &ast.Var{Name: "d"}, &ast.Var{Name: "e"}}, []int{0, 1, 2},
+		[]value.Value{value.Bool(true)}, rho, k)
 	st.Alloc(value.Escape{K: k})
 	k = &value.Select{Then: &ast.Var{Name: "a"}, Else: &ast.Var{Name: "b"}, Env: rho, K: k}
 

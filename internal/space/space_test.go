@@ -111,11 +111,9 @@ func TestContCosts(t *testing.T) {
 	if got := w1(word.Cont(k)); got != 4 {
 		t.Fatalf("select = %d, want 4", got)
 	}
-	k = &value.Push{
-		Rest: []ast.Expr{&ast.Var{Name: "e"}}, RestIdx: []int{1},
-		Done: []value.Value{value.Bool(true), value.Bool(false)}, DoneIdx: []int{0, 2},
-		Env: rho2, K: k,
-	}
+	k = value.NewPush(
+		[]ast.Expr{&ast.Var{Name: "f"}, &ast.Var{Name: "e"}, &ast.Var{Name: "c"}, &ast.Var{Name: "d"}}, []int{0, 2, 3, 1},
+		[]value.Value{value.Bool(true), value.Bool(false)}, rho2, k)
 	// 1 + m(1) + n(2) + 2 + 4
 	if got := w1(word.Cont(k)); got != 10 {
 		t.Fatalf("push = %d, want 10", got)

@@ -224,7 +224,7 @@ func randomOps(t *testing.T, seed int64, steps int) CollectStats {
 		case op < 15: // move κ as a transition does
 			switch rng.Intn(3) {
 			case 0:
-				kappa = &Push{Done: []Value{value(step)}, Env: environment(), K: kappa}
+				kappa = NewPush(nil, []int{0, 1}, []Value{value(step)}, environment(), kappa)
 			case 1:
 				if kappa.Next() != nil {
 					kappa = kappa.Next()

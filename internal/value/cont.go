@@ -89,20 +89,92 @@ type Assign struct {
 }
 
 // Push is push:((E,...), (v,...), π, ρ, κ) — evaluating the subexpressions
-// of a procedure call. Rest holds the expressions still to evaluate, in
-// evaluation order; Done holds the values computed so far. The permutation π
-// is represented by the original positions RestIdx/DoneIdx so the call can
-// be reassembled in source order when evaluation finishes.
+// of a procedure call. The push frames of one call evaluation share one
+// PushRecord; a frame holding N values sees the record's first N and awaits
+// the value of subexpression π(N). A push transition therefore builds one
+// frame and copies nothing, and a frame's Parts are fixed when it is built
+// (see PushRecord).
 type Push struct {
-	Rest    []ast.Expr
-	RestIdx []int
-	Done    []Value
-	DoneIdx []int
-	// CurIdx is the source position of the subexpression currently being
-	// evaluated, so values can be reassembled in source order under any π.
-	CurIdx int
-	Env    env.Env
-	K      Cont
+	// Rec is the call evaluation's record and N the number of its values
+	// the frame holds.
+	Rec *PushRecord
+	N   int
+	Env env.Env
+	K   Cont
+}
+
+// PushRecord is what the push frames of one call evaluation share: the
+// call's subexpressions, π and the values delivered so far in evaluation
+// order. The value buffer is append-once: slots below the written count
+// never change, and a frame holding N values delivers into slot N only
+// while no frame has written it. A second delivery to the same frame, which
+// happens when an escape re-enters it or when a WithNext copy and its
+// original are both resumed, copies the first N values into a fresh record
+// instead, so the frames built on the first delivery keep theirs.
+type PushRecord struct {
+	// Exprs are the call's subexpressions in source order, the AST's own
+	// slice.
+	Exprs []ast.Expr
+	// Pi is π: Pi[i] is the source position of the i-th subexpression
+	// evaluated. The fixed orders share one read-only table.
+	Pi []int
+	// vals holds the delivered values in evaluation order; the first
+	// filled of them are written.
+	vals   []Value
+	filled int
+	// inline backs vals for calls of up to four subexpressions, so the
+	// record and its buffer are one allocation.
+	inline [4]Value
+}
+
+// NewPush returns the push frame of a call over exprs, evaluated in the
+// order pi, that holds the values done (in evaluation order) and awaits the
+// value of exprs[pi[len(done)]].
+func NewPush(exprs []ast.Expr, pi []int, done []Value, rho env.Env, k Cont) *Push {
+	r := newPushRecord(exprs, pi)
+	r.filled = copy(r.vals, done)
+	return &Push{Rec: r, N: r.filled, Env: rho, K: k}
+}
+
+func newPushRecord(exprs []ast.Expr, pi []int) *PushRecord {
+	r := &PushRecord{Exprs: exprs, Pi: pi}
+	if len(pi) <= len(r.inline) {
+		r.vals = r.inline[:len(pi)]
+	} else {
+		r.vals = make([]Value, len(pi))
+	}
+	return r
+}
+
+// Deliver records v as the value of the subexpression k awaits and returns
+// the record that holds k's values followed by v: k's own record on the
+// first delivery into that slot, a fresh copy of k's values after that.
+func (k *Push) Deliver(v Value) *PushRecord {
+	r := k.Rec
+	if r.filled != k.N {
+		c := newPushRecord(r.Exprs, r.Pi)
+		copy(c.vals, r.vals[:k.N])
+		r = c
+	}
+	r.vals[k.N] = v
+	r.filled = k.N + 1
+	return r
+}
+
+// Values returns the call's values in source order once every
+// subexpression's value has been delivered. Under the identity π it is the
+// record's own buffer, which no later delivery writes.
+func (r *PushRecord) Values() []Value {
+	for i, p := range r.Pi {
+		if p != i {
+			vals := make([]Value, len(r.vals))
+			for j, q := range r.Pi {
+				vals[q] = r.vals[j]
+			}
+			return vals
+		}
+	}
+	return r.vals
 }
 
 // Call is call:((v1,...,vm), κ) — the operands are ready and the machine is
@@ -227,7 +299,6 @@ func (k *MonChk) WithNext(next Cont) Cont      { c := *k; c.K = next; return &c 
 func (Halt) Parts() Parts           { return Parts{} }
 func (k *Select) Parts() Parts      { return Parts{Env: k.Env} }
 func (k *Assign) Parts() Parts      { return Parts{Env: k.Env} }
-func (k *Push) Parts() Parts        { return Parts{Env: k.Env, Code: len(k.Rest), Vals: k.Done} }
 func (k *Call) Parts() Parts        { return Parts{Vals: k.Args} }
 func (k *Return) Parts() Parts      { return Parts{Env: k.Env, Dead: true} }
 func (k *ReturnStack) Parts() Parts { return Parts{Env: k.Env, Dead: true, Del: k.Del} }
@@ -236,6 +307,12 @@ func (k *MonAttach) Parts() Parts   { return Parts{Val: k.Ctc} }
 func (k *MonDom) Parts() Parts      { return Parts{Code: 1, Val: k.G, Vals: k.Args} }
 func (k *MonCod) Parts() Parts      { return Parts{Checks: k.Pend} }
 func (k *MonChk) Parts() Parts      { return Parts{Val: k.Val, Checks: k.Rest} }
+
+// Parts reads a push frame through its record: the first N values, and the
+// len(π) − N − 1 expressions left to evaluate after the one it awaits.
+func (k *Push) Parts() Parts {
+	return Parts{Env: k.Env, Code: len(k.Rec.Pi) - k.N - 1, Vals: k.Rec.vals[:k.N:k.N]}
+}
 
 // RootReturnEnvironments is an ablation switch for the experiments: when
 // true, the dead saved environments of both return continuations

@@ -67,17 +67,22 @@ type Store struct {
 	// Allocs counts every allocation ever performed; it is monotone and
 	// unaffected by garbage collection.
 	Allocs int
-	Rand   *rand.Rand
+	// rng is the random source Rand returns, built from seed on first use:
+	// seeding costs more than the rest of a small run's set-up, and most
+	// runs never draw.
+	seed int64
+	rng  *rand.Rand
 
 	observers []StoreObserver
 }
 
-func newRand() *rand.Rand { return rand.New(rand.NewSource(0x5ce4e5)) }
+// defaultSeed seeds every store's random source until Seed replaces it.
+const defaultSeed = 0x5ce4e5
 
 // NewStore returns an empty arena-backed store with a fixed-seed random
 // source.
 func NewStore() *Store {
-	return &Store{Rand: newRand()}
+	return &Store{seed: defaultSeed}
 }
 
 // NewMapStore returns an empty store using the map-backed reference
@@ -85,7 +90,22 @@ func NewStore() *Store {
 // locations and share the fixed random seed, so a program run against either
 // produces identical answers; differential tests rely on exactly that.
 func NewMapStore() *Store {
-	return &Store{m: make(map[env.Location]Value), Rand: newRand()}
+	return &Store{m: make(map[env.Location]Value), seed: defaultSeed}
+}
+
+// Rand returns the store's random source, which the `random` primitive and
+// the RandomOrder policy draw from.
+func (s *Store) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
+	return s.rng
+}
+
+// Seed restarts the random source from seed: the draws that follow are
+// those of a fresh source with that seed.
+func (s *Store) Seed(seed int64) {
+	s.seed, s.rng = seed, nil
 }
 
 // IsMapBacked reports whether s uses the reference map representation.

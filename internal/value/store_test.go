@@ -151,7 +151,7 @@ func TestContNextChains(t *testing.T) {
 	frames := []Cont{
 		&Select{Env: rho, K: k},
 		&Assign{Env: rho, K: k},
-		&Push{Env: rho, K: k},
+		NewPush(nil, []int{0}, nil, rho, k),
 		&Call{K: k},
 		&Return{Env: rho, K: k},
 		&ReturnStack{Env: rho, K: k},

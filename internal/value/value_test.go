@@ -179,7 +179,7 @@ func TestContLocations(t *testing.T) {
 	e := env.Empty().ExtendSyms(env.InternAll([]string{"x"}), []env.Location{3})
 	var k Cont = Halt{}
 	k = &Select{Then: &ast.Var{Name: "a"}, Else: &ast.Var{Name: "b"}, Env: e, K: k}
-	k = &Push{Done: []Value{Pair{CarLoc: 7, CdrLoc: 8}}, Env: env.Empty(), K: k}
+	k = NewPush(nil, []int{0, 1}, []Value{Pair{CarLoc: 7, CdrLoc: 8}}, env.Empty(), k)
 	locs := ContLocations(k, env.Unstamped, nil)
 	want := map[env.Location]bool{3: true, 7: true, 8: true}
 	for _, l := range locs {
