@@ -10,19 +10,12 @@ package analysis
 import (
 	"fmt"
 	"strings"
-
-	"tailspace/internal/ast"
 )
 
 // LintReport is the per-program linter output.
 type LintReport struct {
 	Program string `json:"program"`
 	*LeakReport
-}
-
-// Lint analyzes one expanded program under a display name.
-func Lint(name string, e ast.Expr) *LintReport {
-	return &LintReport{Program: name, LeakReport: AnalyzeLeaks(e)}
 }
 
 // LintSource expands and lints program text.

@@ -79,12 +79,3 @@ func (r Rule) String() string {
 	}
 	return "unknown"
 }
-
-// Rules lists every real rule (RuleNone excluded), for iteration.
-func Rules() []Rule {
-	out := make([]Rule, 0, NumRules-1)
-	for r := RuleConst; r < NumRules; r++ {
-		out = append(out, r)
-	}
-	return out
-}

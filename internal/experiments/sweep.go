@@ -59,9 +59,6 @@ func (s Series) LinkedPeaks() []int {
 // FitFlat fits the growth of S_X against N.
 func (s Series) FitFlat() Fit { return FitGrowth(s.Ns(), s.FlatPeaks()) }
 
-// FitLinked fits the growth of U_X against N.
-func (s Series) FitLinked() Fit { return FitGrowth(s.Ns(), s.LinkedPeaks()) }
-
 // SweepOptions configures a sweep.
 type SweepOptions struct {
 	// Model is the space cost model for the sweep (nil means the default

@@ -121,15 +121,6 @@ func Run(code []Instr, mode Mode, maxSteps int) Result {
 	}
 }
 
-// RunSource compiles and runs program text.
-func RunSource(src string, mode Mode, maxSteps int) (Result, error) {
-	code, err := CompileSource(src)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(code, mode, maxSteps), nil
-}
-
 func (m *Machine) step() (bool, error) {
 	m.steps++
 	m.observe()

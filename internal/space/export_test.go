@@ -7,5 +7,5 @@ func (d *DeltaMeter) LinkedAccountSize() (ribs, frames, pairs int) {
 	if d.linked == nil {
 		return 0, 0, 0
 	}
-	return d.linked.bindings.Tracked(), len(d.linked.frames), d.linked.bindings.Len()
+	return d.linked.bindings.Tracked(), d.linked.frames.Tracked(), d.linked.bindings.Len()
 }

@@ -1,7 +1,6 @@
 package space
 
 import (
-	"fmt"
 	"sync"
 
 	"tailspace/internal/env"
@@ -23,31 +22,25 @@ import (
 //     and held in frames.
 //
 // The account keeps the first and third parts as one running Cost and the
-// binding union as an env.BindingCounts. Frames are reference counted: a
-// frame gains a reference from each root, from its predecessor and from each
-// escape that retains it, and adds its charge and its own references when
-// its count leaves zero (and takes them back when it returns to zero).
-// Frames, ribs and values are immutable and only refer to older objects, so
-// the reference graph is acyclic and the counts are exact. Store cells are
-// the one mutable root; they arrive through DeltaMeter's store hooks. The
-// registers (value, ρ, κ) are swapped on every observation, acquiring the
-// new ones before releasing the old, so structure the two share does not
-// leave and re-enter the account.
-//
-// Cascades run on an explicit stack (pending), never by recursion: dropping
-// the last escape into a 10^5-frame continuation releases every frame in one
-// observation.
+// binding union as an env.BindingCounts. Frames are counted by a
+// value.FrameCounts: a frame gains a reference from each root, from its
+// predecessor and from each escape that retains it, and adds its charge and
+// its own references while its count is positive. Frames, ribs and values
+// are immutable and only refer to older objects, so the counts are exact.
+// Store cells are the one mutable root; they arrive through DeltaMeter's
+// store hooks. The registers (value, ρ, κ) are swapped on every
+// observation, acquiring the new ones before releasing the old, so
+// structure the two share does not leave and re-enter the account.
 type linkedAccount struct {
 	md       CostModel
 	bindings *env.BindingCounts
-	frames   map[value.Cont]int32
+	frames   *value.FrameCounts
 	cost     Cost
-	pending  []value.Cont
 
 	// gain and lose price values and frames through the oracle's linkedRefs
-	// and acquire or release the environments they reach; both stack the
-	// continuations for drain. A value's own charge is the one a cell or the
-	// value register pays; a frame holding it pays a reference word instead.
+	// and acquire or release the environments and frames they reach. A
+	// value's own charge is the one a cell or the value register pays; a
+	// frame holding it pays a reference word instead.
 	gain, lose linkedRefs
 
 	// The registers of the last observation, referenced until the next.
@@ -66,12 +59,16 @@ var linkedPool sync.Pool
 func newLinkedAccount(md CostModel, st *value.Store) *linkedAccount {
 	a, _ := linkedPool.Get().(*linkedAccount)
 	if a == nil {
-		a = &linkedAccount{
-			bindings: env.NewBindingCounts(),
-			frames:   make(map[value.Cont]int32),
-		}
-		a.gain = linkedRefs{onEnv: a.bindings.Acquire, onCont: a.push}
-		a.lose = linkedRefs{onEnv: a.bindings.Release, onCont: a.push}
+		a = &linkedAccount{bindings: env.NewBindingCounts()}
+		// Every charge is computed into a local before a.cost is read:
+		// pricing a value runs the cascades of the frames it reaches, and
+		// these hooks move a.cost.
+		a.frames = value.NewFrameCounts(
+			func(k value.Cont) { c := a.gain.frame(k); a.cost = a.cost.Add(c) },
+			func(k value.Cont) { c := a.lose.frame(k); a.cost = a.cost.Sub(c) },
+			nil)
+		a.gain = linkedRefs{onEnv: a.bindings.Acquire, onCont: a.frames.Acquire}
+		a.lose = linkedRefs{onEnv: a.bindings.Release, onCont: a.frames.Release}
 	}
 	a.md, a.gain.md, a.lose.md = md, md, md
 	st.Each(func(_ env.Location, v value.Value) { a.storeAlloc(v) })
@@ -81,9 +78,8 @@ func newLinkedAccount(md CostModel, st *value.Store) *linkedAccount {
 // release empties the account into the pool.
 func (a *linkedAccount) release() {
 	a.bindings.Reset()
-	clear(a.frames)
-	clear(a.pending)
-	a.pending, a.cost = a.pending[:0], Cost{}
+	a.frames.Reset()
+	a.cost = Cost{}
 	a.val, a.rho, a.k = nil, env.Env{}, nil
 	linkedPool.Put(a)
 }
@@ -100,9 +96,8 @@ func (a *linkedAccount) observe(val value.Value, rho env.Env, k value.Cont) Cost
 		a.bindings.Acquire(rho)
 	}
 	if k != a.k {
-		a.push(k)
+		a.frames.Acquire(k)
 	}
-	a.drain(1)
 	if a.val != nil {
 		a.lose.value(a.val)
 	}
@@ -110,9 +105,8 @@ func (a *linkedAccount) observe(val value.Value, rho env.Env, k value.Cont) Cost
 		a.bindings.Release(a.rho)
 	}
 	if k != a.k {
-		a.push(a.k)
+		a.frames.Release(a.k)
 	}
-	a.drain(-1)
 	a.val, a.rho, a.k = val, rho, k
 	return a.cost.Add(valCost).AddScaled(a.md.Binding(), a.bindings.Len())
 }
@@ -120,57 +114,18 @@ func (a *linkedAccount) observe(val value.Value, rho env.Env, k value.Cont) Cost
 // storeAlloc accounts a new cell holding v.
 func (a *linkedAccount) storeAlloc(v value.Value) {
 	c := a.gain.value(v)
-	a.drain(1)
 	a.cost = a.cost.Add(a.md.Cell()).Add(c)
 }
 
 // storeSet accounts a cell's value replaced by v.
 func (a *linkedAccount) storeSet(old, v value.Value) {
 	c := a.gain.value(v)
-	a.drain(1)
 	c = c.Sub(a.lose.value(old))
-	a.drain(-1)
 	a.cost = a.cost.Add(c)
 }
 
 // storeDelete accounts the removal of a cell holding v.
 func (a *linkedAccount) storeDelete(v value.Value) {
 	c := a.lose.value(v)
-	a.drain(-1)
 	a.cost = a.cost.Sub(a.md.Cell()).Sub(c)
-}
-
-func (a *linkedAccount) push(k value.Cont) { a.pending = append(a.pending, k) }
-
-// drain applies delta to every frame on the pending stack. A frame whose
-// count leaves zero (delta 1) or returns to zero (delta -1) moves its charge
-// in or out of the running cost and pushes its own references, so a
-// cascade down a continuation of any depth runs in this one loop.
-func (a *linkedAccount) drain(delta int32) {
-	for len(a.pending) > 0 {
-		k := a.pending[len(a.pending)-1]
-		a.pending = a.pending[:len(a.pending)-1]
-		if k == nil {
-			continue
-		}
-		n := a.frames[k]
-		if delta > 0 {
-			a.frames[k] = n + 1
-			if n > 0 {
-				continue
-			}
-			a.cost = a.cost.Add(a.gain.frame(k))
-		} else {
-			if n > 1 {
-				a.frames[k] = n - 1
-				continue
-			}
-			if n < 1 {
-				panic(fmt.Sprintf("space: linked account released %T it never held", k))
-			}
-			delete(a.frames, k)
-			a.cost = a.cost.Sub(a.lose.frame(k))
-		}
-		a.push(k.Next())
-	}
 }

@@ -71,11 +71,13 @@ func TestArenaNeverReusesLocations(t *testing.T) {
 // root sets, and OccursIn against a brute-force oracle. One arena collects
 // with Reclaim (reference counts), the other with Collect (its tracer), and
 // the map store traces. Writes store pairs, vectors, closures and escapes
-// that point at any cell, older or younger, so they build cycles, and
-// rings of fresh cells are closed and dropped at once; collections root
-// through the value register, through ρ (shadow-free and shadowed chains)
-// and through κ (frames holding values and environments, moved by pushes,
-// pops and replacements as transitions move it).
+// that point at any cell, older or younger, so they build cycles; rings of
+// fresh cells are closed and dropped at once, and a fresh cell whose count
+// fell to zero is put back on a cycle by an ordinary write between two
+// collections. Collections root through the value register, through ρ
+// (shadow-free and shadowed chains) and through κ (frames holding values
+// and environments, moved by pushes, pops and replacements as transitions
+// move it).
 func TestArenaMatchesMapStoreOnRandomOps(t *testing.T) {
 	var total CollectStats
 	for seed := int64(1); seed <= 8; seed++ {
@@ -165,6 +167,16 @@ func randomOps(t *testing.T, seed int64, steps int) CollectStats {
 		}
 		return Bool(step%2 == 0)
 	}
+	// collect applies the GC rule to (val, rho, κ) in every store.
+	collect := func(step int, val Value, rho env.Env) {
+		cr := ref.Reclaim(val, rho, kappa)
+		if cc := counted.Reclaim(val, rho, kappa); cc != cr {
+			t.Fatalf("seed %d step %d: Reclaim counted=%d map=%d", seed, step, cc, cr)
+		}
+		if ct := traced.Collect(val, rho, kappa); ct != cr {
+			t.Fatalf("seed %d step %d: Collect traced=%d map=%d", seed, step, ct, cr)
+		}
+	}
 	check := func(step int) {
 		t.Helper()
 		rl := ref.Locations()
@@ -197,7 +209,7 @@ func randomOps(t *testing.T, seed int64, steps int) CollectStats {
 			alloc(step, Num{Int: bigInt(int64(step))})
 			continue
 		}
-		switch op := rng.Intn(21); {
+		switch op := rng.Intn(22); {
 		case op < 6: // alloc a value over older cells
 			alloc(step, value(step))
 		case op < 10: // set a cell to a value over any cell
@@ -215,13 +227,27 @@ func randomOps(t *testing.T, seed int64, steps int) CollectStats {
 				next := ring[(i+1)%len(ring)]
 				set(step, ring[i], Pair{CarLoc: next, CdrLoc: next})
 			}
-		case op < 12: // delete
+		case op < 12:
+			// TestReclaimFreesCyclesNoDecrementFound's count-fell-to-zero
+			// scenario over fresh cells: a's one reference, from the holder
+			// c, goes, and an ordinary write puts a back on a cycle through
+			// b. Nothing on the cycle is decremented again, and the next
+			// collection's registers, rho among them, do not reach it.
+			rho := environment()
+			a, b := alloc(step, Bool(false)), alloc(step, Bool(false))
+			set(step, a, Pair{CarLoc: b, CdrLoc: b})
+			c := alloc(step, Vector{ElemLocs: []env.Location{a}})
+			collect(step, Vector{ElemLocs: []env.Location{c}}, rho)
+			set(step, c, Bool(true))
+			set(step, b, Pair{CarLoc: a, CdrLoc: a})
+			collect(step, nil, rho)
+		case op < 13: // delete
 			l := pick()
 			ref.Delete(l)
 			for _, a := range arenas {
 				a.s.Delete(l)
 			}
-		case op < 15: // move κ as a transition does
+		case op < 16: // move κ as a transition does
 			switch rng.Intn(3) {
 			case 0:
 				kappa = NewPush(nil, []int{0, 1}, []Value{value(step)}, environment(), kappa)
@@ -232,7 +258,7 @@ func randomOps(t *testing.T, seed int64, steps int) CollectStats {
 			default:
 				kappa = &Select{Env: environment(), K: kappa}
 			}
-		case op < 20: // collect from the registers
+		case op < 21: // collect from the registers
 			var val Value
 			if rng.Intn(2) == 0 {
 				val = Vector{ElemLocs: []env.Location{pick()}}
@@ -241,13 +267,7 @@ func randomOps(t *testing.T, seed int64, steps int) CollectStats {
 			if rng.Intn(3) > 0 {
 				rho = environment()
 			}
-			cr := ref.Reclaim(val, rho, kappa)
-			if cc := counted.Reclaim(val, rho, kappa); cc != cr {
-				t.Fatalf("seed %d step %d: Reclaim counted=%d map=%d", seed, step, cc, cr)
-			}
-			if ct := traced.Collect(val, rho, kappa); ct != cr {
-				t.Fatalf("seed %d step %d: Collect traced=%d map=%d", seed, step, ct, cr)
-			}
+			collect(step, val, rho)
 		default: // occurs-check over a random candidate set
 			var cands []env.Location
 			for _, l := range ever {

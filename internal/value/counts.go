@@ -15,11 +15,11 @@ import (
 // The counted graph has three kinds of node. A cell is counted by location.
 // An environment is counted per node (env.RibCounts: a rib of a shadow-free
 // chain, or a shadowed chain's head), the way env.BindingCounts counts the
-// Figure 8 binding union. A frame is counted when an escape retains it; the
-// frames on κ are held positionally instead, and each collection asks Moved
-// which frames entered and left κ since the last. Every edge is one the
-// tracer follows: value.Locations for values, Parts.appendRoots for frames,
-// AppendLocations for environments.
+// Figure 8 binding union. A frame is counted (FrameCounts) when an escape
+// retains it; the frames on κ are held positionally instead, and each
+// collection asks Moved which frames entered and left κ since the last.
+// Every edge is one the tracer follows: value.Locations for values,
+// Parts.appendRoots for frames, AppendLocations for environments.
 //
 // Counts alone miss cycles, and an age argument confines them. Give a cell
 // its location as age and an environment node the newest location its chain
@@ -149,7 +149,7 @@ type countAccount struct {
 	rc     []int32 // per location ever allocated
 	flags  []uint8 // per location
 	envs   *env.RibCounts
-	frames map[Cont]int32 // frames retained by escapes
+	frames *FrameCounts // frames retained by escapes
 	// The registers the counts hold; the frames on κ are held positionally.
 	val Value
 	rho env.Env
@@ -165,23 +165,26 @@ type countAccount struct {
 	knotsStale bool // a knot went away: lo and hi may be loose
 
 	// Trial deletion state.
-	roots     []trialNode
-	stack     []trialNode
-	blacken   []trialNode
-	marked    []trialNode
-	envColor  map[env.Node]uint8
-	abort     bool
-	frameWork []Cont
-	bindOp    edgeOp
-	bindEdge  func(env.Symbol, env.Location)
+	roots    []trialNode
+	stack    []trialNode
+	blacken  []trialNode
+	marked   []trialNode
+	envColor map[env.Node]uint8
+	abort    bool
+	bindOp   edgeOp
+	bindEdge func(env.Symbol, env.Location)
 }
 
 func newEmptyAccount() *countAccount {
-	a := &countAccount{frames: make(map[Cont]int32), envColor: make(map[env.Node]uint8)}
+	a := &countAccount{envColor: make(map[env.Node]uint8)}
 	a.envs = env.NewRibCounts(
 		func(_ env.Symbol, l env.Location) { a.inc(l) },
 		func(_ env.Symbol, l env.Location) { a.dec(l) },
 		func(n env.Node) { a.envCands = append(a.envCands, n) })
+	a.frames = NewFrameCounts(
+		func(k Cont) { a.partsEdges(k, opAcquire) },
+		func(k Cont) { a.partsEdges(k, opRelease) },
+		func(Cont) { a.frameFell = true })
 	a.bindEdge = func(_ env.Symbol, l env.Location) { a.cellEdge(l, a.bindOp) }
 	return a
 }
@@ -213,7 +216,7 @@ func (a *countAccount) release() {
 	a.s, a.val, a.rho, a.k = nil, nil, env.Env{}, nil
 	a.rc, a.flags = a.rc[:0], a.flags[:0]
 	a.envs.Reset()
-	clear(a.frames)
+	a.frames.Reset()
 	a.zct, a.cands, a.envCands, a.knots = a.zct[:0], a.cands[:0], a.envCands[:0], a.knots[:0]
 	a.frameFell, a.knotsStale = false, false
 	accountPool.Put(a)
@@ -507,9 +510,10 @@ func (a *countAccount) valueEdges(v Value, op edgeOp) {
 	}
 }
 
-// partsEdges applies op to every reference a frame with parts p holds, the
-// ones Parts.appendRoots lists (its next frame aside).
-func (a *countAccount) partsEdges(p *Parts, op edgeOp) {
+// partsEdges applies op to every reference frame k holds, the ones
+// Parts.appendRoots lists (its next frame aside).
+func (a *countAccount) partsEdges(k Cont, op edgeOp) {
+	p := k.Parts()
 	if !p.Dead || RootReturnEnvironments {
 		a.envEdge(p.Env.Node(), op)
 	}
@@ -532,8 +536,7 @@ func (a *countAccount) partsEdges(p *Parts, op edgeOp) {
 // of k when n is negative.
 func (a *countAccount) contEdges(k Cont, n int, op edgeOp) {
 	for ; k != nil && n != 0; k, n = k.Next(), n-1 {
-		p := k.Parts()
-		a.partsEdges(&p, op)
+		a.partsEdges(k, op)
 	}
 }
 
@@ -620,55 +623,17 @@ func (a *countAccount) trialEdge(n trialNode, in bool, op edgeOp) {
 func (a *countAccount) frameEdge(k Cont, tag env.Location, op edgeOp) {
 	switch op {
 	case opAcquire:
-		a.frame(k, 1)
+		a.frames.Acquire(k)
 	case opRelease:
-		a.frame(k, -1)
+		a.frames.Release(k)
 	case opReleaseOut:
 		if !a.inRegion(tag) {
-			a.frame(k, -1)
+			a.frames.Release(k)
 		}
 	case opMarkGray:
 		if a.inRegion(tag) {
 			a.abort = true
 		}
-	}
-}
-
-// frame adds delta (±1) to the count of k and, when the count leaves or
-// returns to zero, to what k holds and to the frame below it, down the
-// chain on an explicit stack.
-func (a *countAccount) frame(k Cont, delta int32) {
-	base := len(a.frameWork)
-	a.frameWork = append(a.frameWork, k)
-	for len(a.frameWork) > base {
-		k := a.frameWork[len(a.frameWork)-1]
-		a.frameWork = a.frameWork[:len(a.frameWork)-1]
-		if k == nil {
-			continue
-		}
-		n := a.frames[k] + delta
-		switch {
-		case delta > 0 && n > 1:
-			a.frames[k] = n
-			continue
-		case delta > 0:
-			a.frames[k] = n
-		case n > 0:
-			a.frames[k] = n
-			a.frameFell = true
-			continue
-		case n < 0:
-			panic("value: count account released a frame it never held")
-		default:
-			delete(a.frames, k)
-		}
-		p := k.Parts()
-		op := opAcquire
-		if delta < 0 {
-			op = opRelease
-		}
-		a.partsEdges(&p, op)
-		a.frameWork = append(a.frameWork, k.Next())
 	}
 }
 

@@ -10,8 +10,7 @@ echo "==> go build ./..."
 go build ./...
 
 # gofmt -l lists every file whose formatting differs from gofmt's, across
-# all three modules (perfbench/ and tools/analyzers/ included); any output
-# fails the gate.
+# both modules (perfbench/ included); any output fails the gate.
 echo "==> gofmt -l ."
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -22,16 +21,6 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
-
-# The repo's own vet suite (tools/analyzers): stdlib-only, so it builds
-# and runs with no network. It enforces the dense rule-table and
-# panic-default switch exhaustiveness invariants.
-echo "==> framecheck (go vet -vettool)"
-mkdir -p bin
-go -C tools/analyzers build ./...
-go -C tools/analyzers test ./...
-go -C tools/analyzers build -o "$(pwd)/bin/framecheck" ./cmd/framecheck
-go vet -vettool="$(pwd)/bin/framecheck" ./...
 
 echo "==> go test -race ./... $*"
 # Explicit -timeout: the race detector runs the heavy differential suites
