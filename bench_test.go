@@ -353,24 +353,38 @@ func BenchmarkMeasuredRun(b *testing.B) {
 // inner f's parameter shadows the outer n, so each saved chain is shadowed.
 // The counting collector makes a collection cost what changed, so the two
 // depths should differ by about 4x; a collector that traced the live
-// configuration made it 16x.
+// configuration made it 16x. The -every7 cases apply the GC rule every 7
+// transitions, so a return pops several frames between two collections;
+// they should cost no more than the same depth at every transition, as the
+// collector counts κ's frames rather than holding them by position. The
+// callcc-collector cases run a recursion that captures an escape at every
+// level with the GC rule after every transition and no meter: the
+// collector counts each escape's frames once, not frame by frame.
 func BenchmarkDeepMeteredRecursion(b *testing.B) {
 	const prog = "(lambda (n) (define (f n) (if (= n 0) 0 (+ 1 (f (- n 1))))) (f n))"
-	for _, n := range []int{2000, 8000} {
-		for _, v := range []core.Variant{core.Tail, core.GC} {
-			name := v.Name
-			if n != 2000 {
-				name = fmt.Sprintf("%s-%d", v.Name, n)
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := core.RunApplication(prog, fmt.Sprintf("(quote %d)", n), core.Options{Variant: v, Measure: true})
-					if err != nil || res.Err != nil || res.Answer != fmt.Sprint(n) {
-						b.Fatalf("%v %v %q", err, res.Err, res.Answer)
-					}
+	const callcc = "(lambda (n) (define (f n) (if (= n 0) 0 (+ 1 (call/cc (lambda (k) (f (- n 1))))))) (f n))"
+	run := func(name, prog string, n int, opts core.Options) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := core.RunApplication(prog, fmt.Sprintf("(quote %d)", n), opts)
+				if err != nil || res.Err != nil || res.Answer != fmt.Sprint(n) {
+					b.Fatalf("%v %v %q", err, res.Err, res.Answer)
 				}
-			})
+			}
+		})
+	}
+	for _, n := range []int{2000, 8000} {
+		suffix := ""
+		if n != 2000 {
+			suffix = fmt.Sprintf("-%d", n)
 		}
+		for _, v := range []core.Variant{core.Tail, core.GC} {
+			run(v.Name+suffix, prog, n, core.Options{Variant: v, Measure: true})
+		}
+		for _, v := range []core.Variant{core.Tail, core.GC} {
+			run(v.Name+suffix+"-every7", prog, n, core.Options{Variant: v, Measure: true, GCEvery: 7})
+		}
+		run("callcc-collector"+suffix, callcc, n, core.Options{Variant: core.Tail, GCEvery: 1})
 	}
 }
 

@@ -160,6 +160,17 @@ func (e Env) RestrictToSym(s Symbol) Env {
 	return flatEnv([]Symbol{s}, []Location{l})
 }
 
+// Distinct returns { }[I1...In ↦ β1...βn] for identifiers the caller
+// knows to be distinct: field for field the rib Empty().ExtendSyms builds,
+// without its duplicate scan, which is quadratic in the rib's length. The
+// rib takes ownership of both slices.
+func Distinct(syms []Symbol, locs []Location) Env {
+	if len(syms) != len(locs) {
+		panic("env: Distinct with mismatched identifiers and locations")
+	}
+	return flatEnv(syms, locs)
+}
+
 // flatEnv wraps already-deduplicated parallel slices as a single-rib Env.
 func flatEnv(syms []Symbol, locs []Location) Env {
 	if len(syms) == 0 {

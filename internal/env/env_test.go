@@ -1,6 +1,8 @@
 package env
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +178,24 @@ func TestPropertyExtendLookup(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDistinctBuildsExtendSymsRib pins Distinct to the rib ExtendSyms
+// builds over the empty environment for distinct identifiers, field for
+// field: ρ0's 95 primitive names are built this way on every run.
+func TestDistinctBuildsExtendSymsRib(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 95} {
+		names := make([]string, n)
+		locs := make([]Location, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("distinct-%d", i)
+			locs[i] = Location(3*n - i) // not in order: top is the largest
+		}
+		ss := InternAll(names)
+		got, want := Distinct(ss, locs), Empty().ExtendSyms(ss, locs)
+		if (got.r == nil) != (want.r == nil) || got.r != nil && !reflect.DeepEqual(*got.r, *want.r) {
+			t.Errorf("n=%d: Distinct built %+v, ExtendSyms %+v", n, got.r, want.r)
+		}
 	}
 }

@@ -335,3 +335,12 @@ func TestTypeErrors(t *testing.T) {
 	applyErr(t, "list-ref", value.Null{}, num(0))
 	applyErr(t, "<", num(1))
 }
+
+// BenchmarkGlobal times a run's set-up of ρ0 and σ0: one rib binding every
+// primitive's name and one cell per primitive.
+func BenchmarkGlobal(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Global()
+	}
+}

@@ -62,7 +62,7 @@ func init() {
 // them in this order over a rib of its own, since collections stamp ribs.
 var (
 	globalSyms  []env.Symbol
-	globalPrims []*value.Primop
+	globalPrims []value.Value
 )
 
 // Lookup returns the primitive with the given name.
@@ -91,11 +91,7 @@ func Global() (env.Env, *value.Store) {
 // order so two runs — and two store representations — number ρ0's locations
 // identically; whole-run reproducibility starts here.
 func GlobalInto(st *value.Store) (env.Env, *value.Store) {
-	locs := make([]env.Location, len(globalPrims))
-	for i, p := range globalPrims {
-		locs[i] = st.Alloc(p)
-	}
-	return env.Empty().ExtendSyms(globalSyms, locs), st
+	return env.Distinct(globalSyms, st.AllocN(globalPrims)), st
 }
 
 // Argument helpers shared by the primitive implementations.

@@ -23,9 +23,10 @@ import (
 //
 // The account keeps the first and third parts as one running Cost and the
 // binding union as an env.BindingCounts. Frames are counted by a
-// value.FrameCounts: a frame gains a reference from each root, from its
-// predecessor and from each escape that retains it, and adds its charge and
-// its own references while its count is positive. Frames, ribs and values
+// value.FrameCounts on value.MeterSlot, so a count is found through the
+// frame's own handle, not a map: a frame gains a reference from each root,
+// from its predecessor and from each escape that retains it, and adds its
+// charge and its own references while its count is positive. Frames, ribs and values
 // are immutable and only refer to older objects, so the counts are exact.
 // Store cells are the one mutable root; they arrive through DeltaMeter's
 // store hooks. The registers (value, ρ, κ) are swapped on every
@@ -63,7 +64,7 @@ func newLinkedAccount(md CostModel, st *value.Store) *linkedAccount {
 		// Every charge is computed into a local before a.cost is read:
 		// pricing a value runs the cascades of the frames it reaches, and
 		// these hooks move a.cost.
-		a.frames = value.NewFrameCounts(
+		a.frames = value.NewFrameCounts(value.MeterSlot,
 			func(k value.Cont) { c := a.gain.frame(k); a.cost = a.cost.Add(c) },
 			func(k value.Cont) { c := a.lose.frame(k); a.cost = a.cost.Sub(c) },
 			nil)

@@ -30,7 +30,20 @@ type Cont interface {
 	// and the collector call it on every frame that joins a continuation
 	// they track.
 	Parts() Parts
+	// handles returns the frame's count handles, or nil for halt, a value
+	// with no identity of its own (see FrameCounts).
+	handles() *frameHandles
 }
+
+// frameHandles is the pair of count handles every frame but halt carries,
+// one per FrameSlot: the index of the frame's entry in the table of the
+// FrameCounts counting on that slot. A handle is only a hint: the entry
+// counts for the frame only while it points back at this pair, so a handle
+// left by an earlier run, a reset account or the frame a WithNext copy was
+// made from reads as unheld.
+type frameHandles [numFrameSlots]uint32
+
+func (h *frameHandles) handles() *frameHandles { return h }
 
 // Parts is what one continuation frame holds, in the terms the paper reads
 // a frame by: Figure 7 charges 1 + m + n + |Dom ρ| (a header, the pending
@@ -77,6 +90,8 @@ type Select struct {
 	Then, Else ast.Expr
 	Env        env.Env
 	K          Cont
+
+	frameHandles
 }
 
 // Assign is assign:(I, ρ, κ) — awaiting the right-hand side of a set!.
@@ -86,6 +101,8 @@ type Assign struct {
 	Sym env.Symbol
 	Env env.Env
 	K   Cont
+
+	frameHandles
 }
 
 // Push is push:((E,...), (v,...), π, ρ, κ) — evaluating the subexpressions
@@ -101,6 +118,8 @@ type Push struct {
 	N   int
 	Env env.Env
 	K   Cont
+
+	frameHandles
 }
 
 // PushRecord is what the push frames of one call evaluation share: the
@@ -182,6 +201,8 @@ func (r *PushRecord) Values() []Value {
 type Call struct {
 	Args []Value
 	K    Cont
+
+	frameHandles
 }
 
 // Return is return:(ρ, κ), the continuation Z_gc pushes on every procedure
@@ -190,6 +211,8 @@ type Call struct {
 type Return struct {
 	Env env.Env
 	K   Cont
+
+	frameHandles
 }
 
 // ReturnStack is return:(A, ρ, κ), the continuation Z_stack pushes. The
@@ -200,6 +223,8 @@ type ReturnStack struct {
 	Del []env.Location
 	Env env.Env
 	K   Cont
+
+	frameHandles
 }
 
 // MonCtc is mon-ctc:(E, ρ, l, κ) — evaluating the contract expression of a
@@ -210,6 +235,8 @@ type MonCtc struct {
 	Label string
 	Env   env.Env
 	K     Cont
+
+	frameHandles
 }
 
 // MonAttach is mon-attach:(v_ctc, l, κ) — the contract is ready and the
@@ -220,6 +247,8 @@ type MonAttach struct {
 	Ctc   Value
 	Label string
 	K     Cont
+
+	frameHandles
 }
 
 // Pending is one deferred contract check: the contract a result must satisfy
@@ -246,6 +275,8 @@ type MonDom struct {
 	Args []Value
 	Idx  int
 	K    Cont
+
+	frameHandles
 }
 
 // MonCod is mon-cod:((κ_ctc, l) ..., κ) — the monitor frame proper: the
@@ -258,6 +289,8 @@ type MonDom struct {
 type MonCod struct {
 	Pend []Pending
 	K    Cont
+
+	frameHandles
 }
 
 // MonChk is mon-chk:(v, (κ_ctc, l) ..., l, κ) — awaiting a flat predicate's
@@ -268,7 +301,11 @@ type MonChk struct {
 	Rest  []Pending
 	Label string
 	K     Cont
+
+	frameHandles
 }
+
+func (Halt) handles() *frameHandles { return nil }
 
 func (Halt) Next() Cont           { return nil }
 func (k *Select) Next() Cont      { return k.K }

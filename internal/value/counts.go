@@ -15,11 +15,13 @@ import (
 // The counted graph has three kinds of node. A cell is counted by location.
 // An environment is counted per node (env.RibCounts: a rib of a shadow-free
 // chain, or a shadowed chain's head), the way env.BindingCounts counts the
-// Figure 8 binding union. A frame is counted (FrameCounts) when an escape
-// retains it; the frames on κ are held positionally instead, and each
-// collection asks Moved which frames entered and left κ since the last.
-// Every edge is one the tracer follows: value.Locations for values,
-// Parts.appendRoots for frames, AppendLocations for environments.
+// Figure 8 binding union. A frame is counted (FrameCounts, on CollectorSlot)
+// as the Figure 8 account counts it: it gains a reference from the κ
+// register, from its predecessor and from each escape that retains it. So a
+// collection costs the frames that entered and left κ since the last,
+// however many transitions lie between them. Every edge is one the tracer
+// follows: value.Locations for values, Parts.appendRoots for frames,
+// AppendLocations for environments.
 //
 // Counts alone miss cycles, and an age argument confines them. Give a cell
 // its location as age and an environment node the newest location its chain
@@ -46,10 +48,14 @@ import (
 // clears (outside [lo, hi], or cells that hold no reference) and those the
 // environment register plainly holds, and runs synchronous trial deletion
 // (Bacon and Rajan, ECOOP 2001) from the rest over the nodes inside
-// [lo, hi]. Trial deletion that meets a retained continuation, or that
-// grows past a budget, gives up and this one collection traces instead
-// (Store.sweep). Collect stays the oracle: the tests check Reclaim against
-// it collection by collection.
+// [lo, hi]. Trial deletion does not walk frames. A frame whose count fell
+// and stayed positive may lie on a garbage cycle, unless it is among the
+// top liveFrames frames of the κ register, which are live: every ordinary
+// pop, and every escape that dies while its frame is still near the top,
+// lowers such a count. Any other fall, and trial deletion that meets a
+// retained continuation or grows past a budget, gives up, and this one
+// collection traces instead (Store.sweep). Collect stays the oracle: the
+// tests check Reclaim against it collection by collection.
 
 // CollectStats counts how Reclaim applied the GC rule on the arena.
 type CollectStats struct {
@@ -144,13 +150,16 @@ type trialNode struct {
 // tables instead of allocating and regrowing its own.
 var accountPool = sync.Pool{New: func() any { return newEmptyAccount() }}
 
+// countAccount is Reclaim's reference-count account for one store (see the
+// comment at the top of this file). Its frames are counted on CollectorSlot,
+// κ's among them.
 type countAccount struct {
 	s      *Store
 	rc     []int32 // per location ever allocated
 	flags  []uint8 // per location
 	envs   *env.RibCounts
-	frames *FrameCounts // frames retained by escapes
-	// The registers the counts hold; the frames on κ are held positionally.
+	frames *FrameCounts
+	// The registers the counts hold.
 	val Value
 	rho env.Env
 	k   Cont
@@ -158,7 +167,7 @@ type countAccount struct {
 	zct       []env.Location // cells whose count reached zero, and new cells
 	cands     []env.Location
 	envCands  []env.Node
-	frameFell bool // a retained frame's count fell and stayed positive
+	frameFell bool // a frame off κ's top fell and stayed positive
 
 	knots      []env.Location // cells flagged cellKnot, and stale entries
 	lo, hi     env.Location
@@ -181,18 +190,22 @@ func newEmptyAccount() *countAccount {
 		func(_ env.Symbol, l env.Location) { a.inc(l) },
 		func(_ env.Symbol, l env.Location) { a.dec(l) },
 		func(n env.Node) { a.envCands = append(a.envCands, n) })
-	a.frames = NewFrameCounts(
+	a.frames = NewFrameCounts(CollectorSlot,
 		func(k Cont) { a.partsEdges(k, opAcquire) },
 		func(k Cont) { a.partsEdges(k, opRelease) },
-		func(Cont) { a.frameFell = true })
+		func(k Cont) {
+			if !a.nearTop(k) {
+				a.frameFell = true
+			}
+		})
 	a.bindEdge = func(_ env.Symbol, l env.Location) { a.cellEdge(l, a.bindOp) }
 	return a
 }
 
 // newCountAccount applies the GC rule to s by tracing from the
 // configuration (val, rho, k), then counts what the trace left: the cells'
-// references, the registers and the frames on κ. It returns the account
-// and the number of cells the trace freed.
+// references and the registers, κ's frames among them. It returns the
+// account and the number of cells the trace freed.
 func newCountAccount(s *Store, val Value, rho env.Env, k Cont) (*countAccount, int) {
 	a := accountPool.Get().(*countAccount)
 	a.s, a.val, a.rho, a.k = s, val, rho, k
@@ -207,7 +220,7 @@ func newCountAccount(s *Store, val Value, rho env.Env, k Cont) (*countAccount, i
 	}
 	a.valueEdges(val, opAcquire)
 	a.envEdge(rho.Node(), opAcquire)
-	a.contEdges(k, -1, opAcquire)
+	a.frames.Acquire(k)
 	return a, freed
 }
 
@@ -389,30 +402,47 @@ func (a *countAccount) collect(val Value, rho env.Env, k Cont) int {
 
 // swap moves the register references to (val, rho, k): the new registers
 // are held before the old ones are let go, so what they share never drops
-// to zero.
+// to zero, and a move of κ costs only the frames that entered and left it.
+// The registers change first, so the fell hook judges against the new κ.
 func (a *countAccount) swap(val Value, rho env.Env, k Cont) {
-	sameVal := sameRefs(val, a.val)
+	oldVal, oldRho, oldK := a.val, a.rho, a.k
+	a.val, a.rho, a.k = val, rho, k
+	sameVal := sameRefs(val, oldVal)
 	if !sameVal {
 		a.valueEdges(val, opAcquire)
 	}
-	if rho != a.rho {
+	if rho != oldRho {
 		a.envEdge(rho.Node(), opAcquire)
 	}
-	fresh, popped, ok := Moved(a.k, k)
-	a.contEdges(k, fresh, opAcquire)
-	switch {
-	case !ok:
-		a.contEdges(a.k, -1, opRelease)
-	case popped:
-		a.contEdges(a.k, 1, opRelease)
+	if k != oldK {
+		a.frames.Acquire(k)
+		a.frames.Release(oldK)
 	}
 	if !sameVal {
-		a.valueEdges(a.val, opRelease)
+		a.valueEdges(oldVal, opRelease)
 	}
-	if rho != a.rho {
-		a.envEdge(a.rho.Node(), opRelease)
+	if rho != oldRho {
+		a.envEdge(oldRho.Node(), opRelease)
 	}
-	a.val, a.rho, a.k = val, rho, k
+}
+
+// liveFrames is how deep below the κ register's top a frame whose count
+// fell is still taken for live without a trace. It covers every pop between
+// collections at GCEvery up to 7, and the frame of an escape captured a
+// few transitions before it dies.
+const liveFrames = 8
+
+// nearTop reports whether k is among the top liveFrames frames of the κ
+// register, which the register holds.
+func (a *countAccount) nearTop(k Cont) bool {
+	f := a.k
+	for i := 0; i < liveFrames && f != nil; i++ {
+		if f == k {
+			return true
+		}
+		f = f.Next()
+	}
+	return false
 }
 
 // sameRefs reports whether two register values are one value as far as its
@@ -529,14 +559,6 @@ func (a *countAccount) partsEdges(k Cont, op edgeOp) {
 	for _, c := range p.Checks {
 		a.valueEdges(c.Ctc, op)
 		a.valueEdges(c.Src, op)
-	}
-}
-
-// contEdges applies op to what the top n frames of k hold, or every frame
-// of k when n is negative.
-func (a *countAccount) contEdges(k Cont, n int, op edgeOp) {
-	for ; k != nil && n != 0; k, n = k.Next(), n-1 {
-		a.partsEdges(k, op)
 	}
 }
 

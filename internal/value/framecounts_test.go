@@ -4,6 +4,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // TestFrameCountsCascades pins FrameCounts' hooks: a frame goes to gain when
@@ -20,7 +21,7 @@ func TestFrameCountsCascades(t *testing.T) {
 			f(v.(Escape).K)
 		}
 	}
-	c = NewFrameCounts(
+	c = NewFrameCounts(MeterSlot,
 		func(k Cont) { gained = append(gained, k); escapes(k, c.Acquire) },
 		func(k Cont) { lost = append(lost, k); escapes(k, c.Release) },
 		func(k Cont) { fell = append(fell, k) })
@@ -82,4 +83,105 @@ func TestFrameCountsCascades(t *testing.T) {
 		}
 	}()
 	c.Release(top)
+}
+
+// TestFrameCountsHandleRule pins what a frame's handle may and may not
+// claim. A handle names a table entry, and the entry counts for the frame
+// only while it points back at it: after Reset a frame the account held is
+// unheld, a WithNext copy of a held frame is unheld (it copies the handles
+// too), and accounts on the two slots count the same frames without
+// disturbing each other. A frame is unheld when acquiring it gains it;
+// releasing an unheld frame panics.
+func TestFrameCountsHandleRule(t *testing.T) {
+	var gained []Cont
+	count := func(slot FrameSlot) *FrameCounts {
+		return NewFrameCounts(slot,
+			func(k Cont) { gained = append(gained, k) },
+			func(Cont) {}, nil)
+	}
+	// releasePanics fails unless releasing k from c panics. A release that
+	// panics leaves c unusable, so each call ends with that account.
+	releasePanics := func(what string, c *FrameCounts, k Cont) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: Release of an unheld frame did not panic", what)
+			}
+		}()
+		c.Release(k)
+	}
+
+	halt := Halt{}
+	low := &Select{K: halt}
+	top := &Call{K: low}
+	c := count(CollectorSlot)
+	c.Acquire(top)
+	c.Reset()
+	if got := c.Tracked(); got != 0 {
+		t.Errorf("Tracked = %d after Reset, want 0", got)
+	}
+	gained = nil
+	c.Acquire(top)
+	check := func(what string, want ...Cont) {
+		t.Helper()
+		if !slices.Equal(gained, want) {
+			t.Errorf("%s gained %v, want %v", what, gained, want)
+		}
+		gained = nil
+	}
+	check("Acquire after Reset", top, low, halt)
+
+	copied := top.WithNext(low)
+	c.Acquire(copied)
+	check("Acquire of a WithNext copy of a held frame", copied)
+	if got := c.Tracked(); got != 4 {
+		t.Errorf("Tracked = %d with the copy, want 4", got)
+	}
+	c.Release(copied)
+	c.Release(top) // the original is still held once, and held only once
+	releasePanics("a frame released as often as acquired", c, top)
+
+	// Two accounts on the two slots hold top independently: releasing it
+	// from one leaves the other's count alone, and each gains it once.
+	c, m := count(CollectorSlot), count(MeterSlot)
+	c.Acquire(top)
+	m.Acquire(top)
+	check("Acquire on both slots", top, low, halt, top, low, halt)
+	m.Acquire(low)
+	c.Release(top)
+	if got := m.Tracked(); got != 3 {
+		t.Errorf("meter Tracked = %d after the collector's release, want 3", got)
+	}
+	c.Acquire(top)
+	check("collector re-Acquire", top, low, halt)
+	m.Release(top)
+	m.Release(low)
+	if got := m.Tracked(); got != 0 {
+		t.Errorf("meter Tracked = %d after its releases, want 0", got)
+	}
+	releasePanics("meter after its releases", m, low)
+	releasePanics("halt, never acquired", count(MeterSlot), halt)
+	releasePanics("a WithNext copy of a held frame", c, top.WithNext(low))
+}
+
+// TestHotFramesFitTheirSizeClasses pins the three frames a run allocates
+// most of (push, call and select frames are about 38% of the bytes an
+// answer-only corpus run allocates) to the Go size classes they had before
+// frames carried count handles, so the handles cost them no allocation.
+func TestHotFramesFitTheirSizeClasses(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size classes checked on 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"Push", unsafe.Sizeof(Push{}), 48},
+		{"Call", unsafe.Sizeof(Call{}), 48},
+		{"Select", unsafe.Sizeof(Select{}), 64},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s is %d bytes, want at most %d", c.name, c.size, c.max)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -159,8 +160,17 @@ func (s *Store) Alloc(v Value) env.Location {
 	return l
 }
 
-// AllocN allocates n fresh locations initialized to the given values.
+// AllocN allocates n fresh locations initialized to the given values. The
+// arena grows at most once for all of them, to a power of two, so a store
+// that starts with AllocN (σ0) goes on doubling as one grown a cell at a
+// time from empty does, without the reallocations on the way.
 func (s *Store) AllocN(vs []Value) []env.Location {
+	if n := len(s.vals) + len(vs); s.m == nil && n > cap(s.vals) {
+		c := 1 << bits.Len(uint(n-1))
+		s.vals = slices.Grow(s.vals, c-len(s.vals))
+		s.slot = slices.Grow(s.slot, c-len(s.slot))
+		s.live = slices.Grow(s.live, c-len(s.live))
+	}
 	out := make([]env.Location, len(vs))
 	for i, v := range vs {
 		out[i] = s.Alloc(v)
